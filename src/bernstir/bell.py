@@ -106,8 +106,6 @@ def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:
     """
     if not n >= k >= 1:
         raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
-    if table.max_n < n:
-        raise ValueError("needs S up to n=%d, table covers %d" % (n, table.max_n))
     return sum(
         (-1) ** i * binomial(n, i) * table.value(n - i, k - i) for i in range(k + 1)
     )
@@ -119,10 +117,6 @@ def bell_reciprocal_args(n: int, k: int, table: StirlingTable) -> Fraction:
     """
     if not n >= k >= 1:
         raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
-    if table.max_n < n + k:
-        raise ValueError(
-            "needs S up to n=%d, table covers %d" % (n + k, table.max_n)
-        )
     total = sum(
         (-1) ** (k - i) * binomial(n + k, k - i) * table.value(n + i, i)
         for i in range(k + 1)

@@ -1,5 +1,7 @@
 """Bernoulli numbers by six independent published formulas plus the series
-oracle, behind a single dispatcher.
+oracle.  ``ROUTES`` is the one place that says what each method is: its
+domain, the Stirling rows it needs, how to call it, and whether it is a
+known discrepancy; ``bernoulli`` dispatches through it.
 
 All methods agree exactly with the oracle, with one deliberate exception:
 the "alternating" double-sum formula is implemented verbatim from its
@@ -13,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .bell import bell_reciprocal_args
 from .exact import binomial, factorial
@@ -21,39 +24,52 @@ from .stirling import StirlingTable
 
 
 class Method(enum.Enum):
-    """One entry per computation route; values are the CLI/JSON wire names."""
+    """One entry per computation route; values are the CLI/JSON wire names,
+    declared in wire-name order so that iterating lists them sorted."""
 
+    ALTERNATING = "alternating"
+    BELL = "bell"
+    DOUBLE_STIRLING = "double-stirling"
+    GUO_QI = "guo-qi"
+    LOGAN = "logan"
     ORACLE = "oracle"
     THEOREM = "theorem"
-    BELL = "bell"
-    LOGAN = "logan"
-    GUO_QI = "guo-qi"
-    DOUBLE_STIRLING = "double-stirling"
-    ALTERNATING = "alternating"
 
 
-_EVEN_ONLY = frozenset({Method.GUO_QI, Method.DOUBLE_STIRLING, Method.ALTERNATING})
-_FROM_ONE = frozenset({Method.BELL, Method.LOGAN})
+@dataclass(frozen=True)
+class Route:
+    """One method: B_n is defined for n >= `first` (even n only when
+    `even_only`), needs Stirling rows up to `rows(n)` (None: no table), and
+    is `compute(n, table)`."""
+
+    first: int
+    even_only: bool
+    rows: Callable[[int], int] | None
+    compute: Callable[[int, StirlingTable | None], Fraction]
+    known_discrepancy: bool = False
 
 
-def method_domain(method: Method) -> str:
-    """Human-readable index domain of a method."""
-    if method in _EVEN_ONLY:
-        return "even n >= 2"
-    if method in _FROM_ONE:
-        return "n >= 1"
-    return "n >= 0"
+# The adapters name each route function at call time rather than holding it,
+# so a wrapper installed on the module attribute sees dispatched calls too.
+ROUTES: dict[Method, Route] = {
+    Method.ALTERNATING: Route(
+        2, True, None, lambda n, t: bernoulli_alternating(n // 2), known_discrepancy=True
+    ),
+    Method.BELL: Route(1, False, lambda n: 2 * n, lambda n, t: bernoulli_bell(n, t)),
+    Method.DOUBLE_STIRLING: Route(
+        2, True, lambda n: n + 1, lambda n, t: bernoulli_double_stirling(n // 2, t)
+    ),
+    Method.GUO_QI: Route(2, True, None, lambda n, t: bernoulli_guo_qi(n // 2)),
+    Method.LOGAN: Route(1, False, lambda n: n, lambda n, t: bernoulli_logan(n, t)),
+    Method.ORACLE: Route(0, False, None, lambda n, t: bernoulli_oracle(n)),
+    Method.THEOREM: Route(0, False, lambda n: 2 * n, lambda n, t: bernoulli_theorem(n, t)),
+}
 
 
 def supports(method: Method, n: int) -> bool:
     """Whether `method` defines B_n at index n."""
-    if n < 0:
-        return False
-    if method in _EVEN_ONLY:
-        return n >= 2 and n % 2 == 0
-    if method in _FROM_ONE:
-        return n >= 1
-    return True
+    route = ROUTES[method]
+    return n >= route.first and not (route.even_only and n % 2)
 
 
 def supported_methods(n: int) -> list[Method]:
@@ -70,10 +86,12 @@ class UnsupportedIndexError(ValueError):
     def __init__(self, n: int, method: Method):
         self.n = n
         self.method = method
+        route = ROUTES[method]
+        domain = "even n >= 2" if route.even_only else "n >= %d" % route.first
         names = ", ".join(m.value for m in supported_methods(n))
         super().__init__(
-            "method '%s' is defined for %s only; B_%d is available from: %s"
-            % (method.value, method_domain(method), n, names)
+            "method '%s' is defined for %s only; methods defined at n=%d: %s"
+            % (method.value, domain, n, names)
         )
 
 
@@ -88,10 +106,6 @@ def bernoulli_theorem(n: int, table: StirlingTable) -> Fraction:
     """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i)."""
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
-    if table.max_n < 2 * n:
-        raise ValueError(
-            "needs S up to n=%d, table covers %d" % (2 * n, table.max_n)
-        )
     total = Fraction(0)
     for i in range(n + 1):
         term = Fraction(binomial(n + 1, i + 1), binomial(n + i, i))
@@ -119,8 +133,6 @@ def bernoulli_logan(n: int, table: StirlingTable) -> Fraction:
     """B_n = sum_{k=1}^{n} (-1)^k * k!/(k+1) * S(n, k)."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    if table.max_n < n:
-        raise ValueError("needs S up to n=%d, table covers %d" % (n, table.max_n))
     return sum(
         (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
         for k in range(1, n + 1)
@@ -194,10 +206,6 @@ def bernoulli_double_stirling(k: int, table: StirlingTable) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     n = 2 * k
-    if table.max_n < n + 1:
-        raise ValueError(
-            "needs S up to n=%d, table covers %d" % (n + 1, table.max_n)
-        )
     first = sum(
         Fraction(table.value(n + 1, m + 1) * table.value(n, n - m), binomial(n, m))
         for m in range(1, n)
@@ -252,23 +260,7 @@ def bernoulli(
         raise ValueError("n must be >= 0, got %d" % n)
     if not supports(method, n):
         raise UnsupportedIndexError(n, method)
-    if method is Method.ORACLE:
-        return bernoulli_oracle(n)
-    if method is Method.GUO_QI:
-        return bernoulli_guo_qi(n // 2)
-    if method is Method.ALTERNATING:
-        return bernoulli_alternating(n // 2)
-    if method is Method.BELL:
-        return bernoulli_bell(n, table)
-    needed = {
-        Method.THEOREM: 2 * n,
-        Method.LOGAN: n,
-        Method.DOUBLE_STIRLING: n + 1,
-    }[method]
-    if table is None:
-        table = StirlingTable(needed)
-    if method is Method.THEOREM:
-        return bernoulli_theorem(n, table)
-    if method is Method.LOGAN:
-        return bernoulli_logan(n, table)
-    return bernoulli_double_stirling(n // 2, table)
+    route = ROUTES[method]
+    if table is None and route.rows is not None:
+        table = StirlingTable(route.rows(n))
+    return route.compute(n, table)

@@ -19,11 +19,10 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Iterable, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
-from .bernoulli import Method, bernoulli, method_domain, supports
+from .bernoulli import ROUTES, Method, UnsupportedIndexError, bernoulli, supports
 from .exact import format_rational, parse_rational
 from .stirling import StirlingTable
 from .verify import cross_verify
@@ -35,6 +34,7 @@ EXIT_USAGE = 64
 DEFAULT_CAP = 10000
 FORMATS = ("plain", "json", "csv")
 METHOD_NAMES = tuple(m.value for m in Method)
+KNOWN = tuple(m.value for m in Method if ROUTES[m].known_discrepancy)
 
 
 class UsageError(Exception):
@@ -91,7 +91,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
     if args.method == "all":
         table = StirlingTable(2 * n)
         records = []
-        for method in sorted(Method, key=lambda m: m.value):
+        for method in Method:
             if supports(method, n):
                 value = format_rational(bernoulli(n, method, table=table))
             else:
@@ -99,16 +99,6 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
             records.append({"n": n, "method": method.value, "value": value})
     else:
         method = _parse_method(args.method)
-        if not supports(method, n):
-            raise UsageError(
-                "method '%s' is defined for %s only; methods defined at n=%d: %s"
-                % (
-                    method.value,
-                    method_domain(method),
-                    n,
-                    ", ".join(m.value for m in Method if supports(m, n)),
-                )
-            )
         records = [
             {"n": n, "method": method.value, "value": format_rational(bernoulli(n, method))}
         ]
@@ -164,7 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1, got %d" % args.max_n)
     _check_cap(args.max_n, "max-n")
-    known = ("alternating",) if args.allow_known else ()
+    known = KNOWN if args.allow_known else ()
     report = cross_verify(args.max_n, known)
     code = EXIT_OK if report.ok else EXIT_MISMATCH
     if args.format == "json":
@@ -179,57 +169,27 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
+    """Render cross_verify's entries with the time each method took."""
     if args.max_n < 2:
         raise UsageError("--max-n must be >= 2, got %d" % args.max_n)
     _check_cap(args.max_n, "max-n")
-    methods = sorted(Method, key=lambda m: m.value)
-    if args.methods:
-        wanted = [_parse_method(name.strip()) for name in args.methods.split(",")]
-        methods = [m for m in methods if m in wanted]
-        if not methods:
-            raise UsageError("no methods selected")
-    flagged = {
-        _parse_method(name.strip()).value
-        for name in args.known.split(",")
-        if name.strip()
-    }
-    records = []
-    mismatched = False
-    for n in range(args.max_n + 1):
-        expected = None
-        for method in methods:
-            if not supports(method, n):
-                continue
-            start = time.perf_counter_ns()
-            value = bernoulli(n, method)  # fresh tables: standalone method cost
-            micros = (time.perf_counter_ns() - start) // 1000
-            records.append(
-                {
-                    "n": n,
-                    "method": method.value,
-                    "value": format_rational(value),
-                    "micros": micros,
-                }
-            )
-            if method.value in flagged:
-                continue
-            if expected is None:
-                expected = value
-            elif value != expected:
-                mismatched = True
-    code = EXIT_MISMATCH if mismatched else EXIT_OK
+    names = args.methods.split(",") if args.methods else METHOD_NAMES
+    methods = [_parse_method(name.strip()) for name in names]
+    known = [
+        _parse_method(name.strip()).value for name in args.known.split(",") if name.strip()
+    ]
+    report = cross_verify(args.max_n, known, methods)
+    code = EXIT_OK if report.ok else EXIT_MISMATCH
+    rows = [
+        (e.n, e.method, format_rational(e.value), e.elapsed_ns // 1000)
+        for e in report.entries
+    ]
     if args.format == "json":
-        return render_json(records), code
+        keys = ("n", "method", "value", "micros")
+        return render_json([dict(zip(keys, row)) for row in rows]), code
     if args.format == "csv":
-        rows = [(r["n"], r["method"], r["value"], r["micros"]) for r in records]
         return render_csv("n,method,value,micros", rows), code
-    return (
-        "".join(
-            "%d %s %s %dus\n" % (r["n"], r["method"], r["value"], r["micros"])
-            for r in records
-        ),
-        code,
-    )
+    return "".join("%d %s %s %dus\n" % row for row in rows), code
 
 
 def build_parser() -> _Parser:
@@ -264,16 +224,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-verify all methods against the oracle")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--allow-known", action="store_true",
-                   help="do not fail on the documented 'alternating' discrepancy")
+                   help="do not fail on the documented '%s' discrepancy" % "', '".join(KNOWN))
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time every method per index")
+    p = sub.add_parser("bench", help="time every method per index against the oracle")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--methods", default="",
                    help="comma-separated subset of methods (default: all)")
-    p.add_argument("--known", default="alternating",
-                   help="methods exempt from the value consistency gate")
+    p.add_argument("--known", default=",".join(KNOWN),
+                   help="methods whose mismatches against the oracle do not fail the run")
     add_format(p)
     p.set_defaults(func=cmd_bench)
     return parser
@@ -284,7 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         text, code = args.func(args)
-    except UsageError as exc:
+    except (UsageError, UnsupportedIndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)

@@ -10,6 +10,7 @@ point.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -54,4 +55,9 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render as "p" for integers and "p/q" (q > 0, reduced) otherwise."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit, which Decimal lacks
+        value = Fraction(value)
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else "%s/%s" % (text, Decimal(value.denominator))

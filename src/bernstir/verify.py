@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .bell import (
     bell_partition_sum,
@@ -24,7 +25,7 @@ from .bell import (
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from .bernoulli import Method, bernoulli, supports
+from .bernoulli import ROUTES, Method, bernoulli, supports
 from .exact import format_rational
 from .series import bell_egf_coeff, bernoulli_series
 from .stirling import StirlingTable
@@ -38,12 +39,14 @@ IDENTITY_EGF = "egf"
 @dataclass(frozen=True)
 class ReportEntry:
     """One (n, method) check.  `value` is None for identity rows, which
-    aggregate several argument instances and have no single rational value."""
+    aggregate several argument instances and have no single rational value.
+    `elapsed_ns` is timing only: it takes no part in equality or rendering."""
 
     n: int
     method: str
     value: Fraction | None
     agrees_with_oracle: bool
+    elapsed_ns: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -119,17 +122,16 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _method_order(method: Method) -> str:
-    return method.value
-
-
 def cross_verify(
-    max_n: int, known_discrepancies: Iterable[str] = ()
+    max_n: int,
+    known_discrepancies: Iterable[str] = (),
+    methods: Collection[Method] = tuple(Method),
 ) -> VerificationReport:
-    """Compute B_n for n = 0..max_n by every method defined at n and compare
-    each value exactly against the series oracle.
+    """Compute B_n for n = 0..max_n by each of `methods` defined at n and
+    compare each value exactly against the series oracle.
 
-    The oracle value for each n is computed once.  Methods named in
+    The oracle series and one Stirling table are built once and shared; each
+    entry's `elapsed_ns` is its method's cost on them.  Methods named in
     `known_discrepancies` still appear in the report, but their mismatches
     are tallied separately and do not make the run fail.  Entries are sorted
     by ascending n, then method name, so output is deterministic.
@@ -137,22 +139,26 @@ def cross_verify(
     if max_n < 1:
         raise ValueError("max_n must be >= 1, got %d" % max_n)
     known = {Method(name).value for name in known_discrepancies}
-    table = StirlingTable(2 * max_n)
+    chosen = [m for m in Method if m in methods]
+    rows = [ROUTES[m].rows(max_n) for m in chosen if ROUTES[m].rows]
+    table = StirlingTable(max(rows, default=0))
     oracle = bernoulli_series(max_n)
     entries: list[ReportEntry] = []
     mismatches: list[tuple[int, str]] = []
     known_seen: list[tuple[int, str]] = []
     for n in range(max_n + 1):
         expected = oracle[n]
-        for method in sorted(Method, key=_method_order):
+        for method in chosen:
             if not supports(method, n):
                 continue
+            start = time.perf_counter_ns()
             if method is Method.ORACLE:
                 value = expected
             else:
                 value = bernoulli(n, method, table=table)
+            elapsed = time.perf_counter_ns() - start
             agrees = value == expected
-            entries.append(ReportEntry(n, method.value, value, agrees))
+            entries.append(ReportEntry(n, method.value, value, agrees, elapsed))
             if not agrees:
                 target = known_seen if method.value in known else mismatches
                 target.append((n, method.value))

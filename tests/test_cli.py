@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bernstir
 from bernstir.cli import main, render_json
 
 
@@ -163,6 +166,18 @@ def test_bench_method_subset(capsys):
     assert methods == {"oracle", "logan"}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # one method is checked against the oracle, not against itself
+        (("--methods", "alternating", "--known", ""), 2),
+        (("--methods", "logan"), 0),
+    ],
+)
+def test_bench_single_method_gate(capsys, argv, code):
+    assert run_cli(capsys, "bench", "--max-n", "4", *argv)[0] == code
+
+
 def test_bench_rejects_small_range(capsys):
     code, _, err = run_cli(capsys, "bench", "--max-n", "1")
     assert code == 64
@@ -191,10 +206,44 @@ def test_usage_errors(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same bernstir as the tests, installed or not
+    src = str(Path(bernstir.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
         [sys.executable, "-m", "bernstir", "bernoulli", "2", "--method", "logan"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/6\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (("bernoulli", "8"), 0, "bernoulli_8.txt"),
+        (("bernoulli", "8", "--format", "json"), 0, "bernoulli_8.json"),
+        (("bernoulli", "8", "--format", "csv"), 0, "bernoulli_8.csv"),
+        (("bernoulli", "7", "--format", "csv"), 0, "bernoulli_7.csv"),
+        (("verify", "--max-n", "4", "--allow-known"), 0, "verify_4_allow_known.txt"),
+        (
+            ("verify", "--max-n", "4", "--allow-known", "--format", "json"),
+            0,
+            "verify_4_allow_known.json",
+        ),
+        (
+            ("verify", "--max-n", "4", "--allow-known", "--format", "csv"),
+            0,
+            "verify_4_allow_known.csv",
+        ),
+        (("verify", "--max-n", "2"), 2, "verify_2.txt"),
+    ],
+)
+def test_golden_stdout(capsys, argv, code, golden):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert out.encode() == (GOLDEN / golden).read_bytes()

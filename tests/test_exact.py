@@ -93,3 +93,12 @@ def test_serialization_round_trip(q):
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_format_past_int_digit_limit():
+    # 4400 digits is past the default int-to-str limit of 4300
+    big = 10**4399 + 1
+    digits = "1" + "0" * 4398 + "1"
+    assert format_rational(big) == digits
+    assert format_rational(Fraction(-big, 3)) == "-" + digits + "/3"
+    assert format_rational(Fraction(1, big)) == "1/" + digits
