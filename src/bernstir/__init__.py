@@ -35,12 +35,13 @@ from .series import (
     bernoulli_series,
     stirling_egf_coeff,
 )
-from .stirling import StirlingTable, stirling_explicit
+from .stirling import StirlingDiagonal, StirlingTable, stirling_explicit
 from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
     "Method",
     "PowerSumCoeffs",
+    "StirlingDiagonal",
     "StirlingTable",
     "TruncatedSeries",
     "UnsupportedIndexError",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import binomial, factorial
-from .stirling import StirlingTable
+from .stirling import StirlingSource, StirlingTable
 
 Args = Sequence[Fraction | int]
 
@@ -111,16 +111,22 @@ def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:
     )
 
 
-def bell_reciprocal_args(n: int, k: int, table: StirlingTable) -> Fraction:
+def bell_reciprocal_args(n: int, k: int, table: StirlingSource) -> Fraction:
     """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
     = n!/(n+k)! * sum_{i=0}^{k} (-1)^(k-i) C(n+k, k-i) S(n+i, i).
+
+    Reads only the diagonal S(n+i, i).  The sum runs over j = k-i, and
+    C(n+k, j) is updated step by step; each division is exact, because
+    c*(n+k-j) is (j+1)*C(n+k, j+1).
     """
     if not n >= k >= 1:
         raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
-    total = sum(
-        (-1) ** (k - i) * binomial(n + k, k - i) * table.value(n + i, i)
-        for i in range(k + 1)
-    )
+    total = 0
+    c = 1  # C(n+k, j)
+    for j in range(k + 1):
+        term = c * table.value(n + k - j, k - j)
+        total += -term if j & 1 else term
+        c = c * (n + k - j) // (j + 1)
     return Fraction(factorial(n), factorial(n + k)) * total
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bell import bell_reciprocal_args
 from .exact import binomial, factorial
 from .series import bernoulli_series
-from .stirling import StirlingTable
+from .stirling import StirlingDiagonal, StirlingSource, StirlingTable
 
 
 class Method(enum.Enum):
@@ -40,13 +40,15 @@ class Method(enum.Enum):
 class Route:
     """One method: B_n is defined for n >= `first` (even n only when
     `even_only`), needs Stirling rows up to `rows(n)` (None: no table), and
-    is `compute(n, table)`."""
+    is `compute(n, table)`.  A `diagonal` route reads only S(n+i, i) for
+    0 <= i <= n, so on its own it needs just StirlingDiagonal(n)."""
 
     first: int
     even_only: bool
     rows: Callable[[int], int] | None
-    compute: Callable[[int, StirlingTable | None], Fraction]
+    compute: Callable[[int, StirlingSource | None], Fraction]
     known_discrepancy: bool = False
+    diagonal: bool = False
 
 
 # The adapters name each route function at call time rather than holding it,
@@ -55,14 +57,18 @@ ROUTES: dict[Method, Route] = {
     Method.ALTERNATING: Route(
         2, True, None, lambda n, t: bernoulli_alternating(n // 2), known_discrepancy=True
     ),
-    Method.BELL: Route(1, False, lambda n: 2 * n, lambda n, t: bernoulli_bell(n, t)),
+    Method.BELL: Route(
+        1, False, lambda n: 2 * n, lambda n, t: bernoulli_bell(n, t), diagonal=True
+    ),
     Method.DOUBLE_STIRLING: Route(
         2, True, lambda n: n + 1, lambda n, t: bernoulli_double_stirling(n // 2, t)
     ),
     Method.GUO_QI: Route(2, True, None, lambda n, t: bernoulli_guo_qi(n // 2)),
     Method.LOGAN: Route(1, False, lambda n: n, lambda n, t: bernoulli_logan(n, t)),
     Method.ORACLE: Route(0, False, None, lambda n, t: bernoulli_oracle(n)),
-    Method.THEOREM: Route(0, False, lambda n: 2 * n, lambda n, t: bernoulli_theorem(n, t)),
+    Method.THEOREM: Route(
+        0, False, lambda n: 2 * n, lambda n, t: bernoulli_theorem(n, t), diagonal=True
+    ),
 }
 
 
@@ -102,7 +108,7 @@ def bernoulli_oracle(n: int) -> Fraction:
     return bernoulli_series(n)[n]
 
 
-def bernoulli_theorem(n: int, table: StirlingTable) -> Fraction:
+def bernoulli_theorem(n: int, table: StirlingSource) -> Fraction:
     """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i)."""
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
@@ -113,16 +119,16 @@ def bernoulli_theorem(n: int, table: StirlingTable) -> Fraction:
     return total
 
 
-def bernoulli_bell(n: int, table: StirlingTable | None = None) -> Fraction:
+def bernoulli_bell(n: int, table: StirlingSource | None = None) -> Fraction:
     """B_n = sum_{k=1}^{n} (-1)^k k! B_{n,k}(1/2, 1/3, ..., 1/(n-k+2)).
 
-    Evaluates each Bell value through its closed form, which needs Stirling
-    numbers up to 2n; a sufficient table is built on demand.
+    Evaluates each Bell value through its closed form, which reads only the
+    Stirling diagonal S(n+i, i); that diagonal is built on demand.
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     if table is None:
-        table = StirlingTable(2 * n)
+        table = StirlingDiagonal(n)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += (-1) ** k * factorial(k) * bell_reciprocal_args(n, k, table)
@@ -155,30 +161,36 @@ def power_sum_coeffs(p: int) -> PowerSumCoeffs:
     (a Vandermonde system on distinct nodes); it is solved exactly by Newton
     interpolation on those nodes.  No Bernoulli numbers are involved, so the
     recursion built on top of this stays non-circular.
+
+    The work stays in integers: on the nodes 0..L (L = p+1) the Newton form
+    is sum_l (Delta^l y_0 / l!) x(x-1)...(x-l+1), so scaling by L! makes
+    every weight Delta^l y_0 * L!/l! an integer.  The forward differences
+    and the expansion into monomials are integer arithmetic, and each
+    coefficient becomes a Fraction over L! only at the end.
     """
     if p < 0:
         raise ValueError("exponent must be >= 0, got %d" % p)
-    size = p + 2
-    ys = [Fraction(0)]
+    top = p + 1
+    diffs = [0]
     acc = 0
-    for node in range(1, size):
+    for node in range(1, top + 1):
         acc += node**p
-        ys.append(Fraction(acc))
-    # divided differences; nodes are 0..p+1 so x_j - x_{j-level} = level
-    dd = ys
-    for level in range(1, size):
-        for j in range(size - 1, level - 1, -1):
-            dd[j] = (dd[j] - dd[j - 1]) / level
-    # expand the Newton form into monomial coefficients
-    poly = [dd[size - 1]]
-    for j in range(size - 2, -1, -1):
-        nxt = [Fraction(0)] * (len(poly) + 1)
+        diffs.append(acc)
+    # in place, diffs[l] becomes the forward difference Delta^l y_0
+    for level in range(1, top + 1):
+        for j in range(top, level - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    # Horner on the Newton form, weights scaled by L!: poly = poly*(x - j) + w_j
+    scale = 1  # L!/l! for the current l
+    poly = [diffs[top]]
+    for j in range(top - 1, -1, -1):
+        scale *= j + 1
+        nxt = [0] + poly
         for m, c in enumerate(poly):
-            nxt[m + 1] += c
             nxt[m] -= j * c
-        nxt[0] += dd[j]
+        nxt[0] += diffs[j] * scale
         poly = nxt
-    return PowerSumCoeffs(p, tuple(poly))
+    return PowerSumCoeffs(p, tuple(Fraction(c, scale) for c in poly))  # scale is L!
 
 
 def bernoulli_guo_qi(k: int) -> Fraction:
@@ -252,7 +264,9 @@ def bernoulli(
 
     Raises UnsupportedIndexError when the method does not define B_n; the
     message lists the methods that do.  A StirlingTable may be shared across
-    calls; when omitted, a sufficient one is built per call.
+    calls (see `shared_table`); when omitted, the call builds what its route
+    reads: the diagonal S(n+i, i) for a `diagonal` route, else a sufficient
+    table.
     """
     if not isinstance(method, Method):
         method = Method(method)
@@ -262,5 +276,12 @@ def bernoulli(
         raise UnsupportedIndexError(n, method)
     route = ROUTES[method]
     if table is None and route.rows is not None:
-        table = StirlingTable(route.rows(n))
+        table = StirlingDiagonal(n) if route.diagonal else StirlingTable(route.rows(n))
     return route.compute(n, table)
+
+
+def shared_table(max_n: int, methods: Iterable[Method]) -> StirlingTable:
+    """One StirlingTable that covers every method in `methods` at every
+    index up to `max_n`."""
+    rows = [ROUTES[m].rows(max_n) for m in methods if ROUTES[m].rows]
+    return StirlingTable(max(rows, default=0))

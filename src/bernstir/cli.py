@@ -22,7 +22,14 @@ import sys
 from typing import Iterable, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
-from .bernoulli import ROUTES, Method, UnsupportedIndexError, bernoulli, supports
+from .bernoulli import (
+    ROUTES,
+    Method,
+    UnsupportedIndexError,
+    bernoulli,
+    shared_table,
+    supported_methods,
+)
 from .exact import format_rational, parse_rational
 from .stirling import StirlingTable
 from .verify import cross_verify
@@ -89,10 +96,11 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError("n must be >= 0, got %d" % n)
     _check_cap(n, "n")
     if args.method == "all":
-        table = StirlingTable(2 * n)
+        defined = supported_methods(n)
+        table = shared_table(n, defined)
         records = []
         for method in Method:
-            if supports(method, n):
+            if method in defined:
                 value = format_rational(bernoulli(n, method, table=table))
             else:
                 value = "unsupported"

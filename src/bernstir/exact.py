@@ -10,6 +10,7 @@ point.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -41,16 +42,30 @@ def rat(num: int, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+_ECHO = 40  # characters of rejected input quoted back in the error
+
+
+def _digits_to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the str-to-int digit limit, which Decimal lacks
+        return int(Decimal(digits))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a reduced Fraction.
 
-    Either part may carry a sign; "p/1" is accepted and normalizes to "p".
+    The whole text must be ASCII digits with an optional sign on either
+    part: no spaces, underscores or non-ASCII digits.  "p/1" is accepted
+    and normalizes to "p".  Numerals of any length are accepted.
     """
-    num, sep, den = text.strip().partition("/")
-    try:
-        return rat(int(num), int(den) if sep else 1)
-    except ValueError:
-        raise ValueError("not a rational: %r" % text) from None
+    match = _RATIONAL.fullmatch(text)
+    den = _digits_to_int(match[2]) if match and match[2] else 1
+    if match is None or den == 0:
+        tail = "..." if len(text) > _ECHO else ""
+        raise ValueError("not a rational: %r%s" % (text[:_ECHO], tail))
+    return Fraction(_digits_to_int(match[1]), den)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -1,8 +1,10 @@
 """Stirling numbers of the second kind by two independent routes.
 
 ``StirlingTable`` builds the full triangle with the additive recurrence and
-is the production path; ``stirling_explicit`` evaluates the alternating
-binomial sum directly and serves as the cross-check.
+is the production path; ``StirlingDiagonal`` holds the one diagonal
+S(d+k, k) that a single-index Bernoulli query reads, in O(d) memory;
+``stirling_explicit`` evaluates the alternating binomial sum directly and
+serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -55,6 +57,44 @@ class StirlingTable:
         for n, row in enumerate(self._rows):
             for k, v in enumerate(row):
                 yield n, k, v
+
+
+class StirlingDiagonal:
+    """The diagonal S(d+k, k) for 0 <= k <= d, read like a StirlingTable.
+
+    Built by a column sweep: with D_j(k) = S(j+k, k), the recurrence reads
+    D_j(k) = k*D_{j-1}(k) + D_j(k-1), so one column of d+1 values is
+    updated in place from D_0 = (1, ..., 1) up to D_d.  Immutable after
+    construction.  `value` raises ValueError for any cell off the diagonal,
+    just as StirlingTable does for rows it lacks.
+    """
+
+    __slots__ = ("_d", "_col")
+
+    def __init__(self, d: int):
+        if d < 0:
+            raise ValueError("d must be >= 0, got %d" % d)
+        col = [1] * (d + 1)
+        for _ in range(d):
+            col[0] = 0
+            for k in range(1, d + 1):
+                col[k] = k * col[k] + col[k - 1]
+        self._d = d
+        self._col = tuple(col)
+
+    def value(self, n: int, k: int) -> int:
+        if n < 0 or k < 0:
+            raise ValueError("S(n, k) needs n, k >= 0, got (%d, %d)" % (n, k))
+        if n - k != self._d or k > self._d:
+            raise ValueError(
+                "diagonal holds S(%d+k, k) for k <= %d but S(%d, %d) was requested"
+                % (self._d, self._d, n, k)
+            )
+        return self._col[k]
+
+
+# Either holder answers value(n, k) for the cells it covers.
+StirlingSource = StirlingTable | StirlingDiagonal
 
 
 def stirling_explicit(n: int, k: int) -> int:

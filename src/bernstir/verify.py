@@ -25,7 +25,7 @@ from .bell import (
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from .bernoulli import ROUTES, Method, bernoulli, supports
+from .bernoulli import Method, bernoulli, shared_table, supports
 from .exact import format_rational
 from .series import bell_egf_coeff, bernoulli_series
 from .stirling import StirlingTable
@@ -140,8 +140,7 @@ def cross_verify(
         raise ValueError("max_n must be >= 1, got %d" % max_n)
     known = {Method(name).value for name in known_discrepancies}
     chosen = [m for m in Method if m in methods]
-    rows = [ROUTES[m].rows(max_n) for m in chosen if ROUTES[m].rows]
-    table = StirlingTable(max(rows, default=0))
+    table = shared_table(max_n, chosen)
     oracle = bernoulli_series(max_n)
     entries: list[ReportEntry] = []
     mismatches: list[tuple[int, str]] = []

@@ -70,3 +70,30 @@ def iterated_factorial(n: int) -> int:
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients A_0..A_{p+1} of sum_{m=1}^{n} m^p, solved by
+    Newton interpolation on the nodes 0..p+1 with Fraction divided
+    differences throughout."""
+    size = p + 2
+    ys = [Fraction(0)]
+    acc = 0
+    for node in range(1, size):
+        acc += node**p
+        ys.append(Fraction(acc))
+    # divided differences; nodes are 0..p+1 so x_j - x_{j-level} = level
+    dd = ys
+    for level in range(1, size):
+        for j in range(size - 1, level - 1, -1):
+            dd[j] = (dd[j] - dd[j - 1]) / level
+    # expand the Newton form into monomial coefficients
+    poly = [dd[size - 1]]
+    for j in range(size - 2, -1, -1):
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for m, c in enumerate(poly):
+            nxt[m + 1] += c
+            nxt[m] -= j * c
+        nxt[0] += dd[j]
+        poly = nxt
+    return tuple(poly)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from bernstir.bernoulli import (
 )
 from bernstir.series import bernoulli_series
 from bernstir.stirling import StirlingTable
+
+from oracles import power_sum_coeffs_fraction
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,11 @@ def test_power_sum_polynomial_identity():
             direct = sum(m**p for m in range(1, n + 1))
             poly = sum(a * n**m for m, a in enumerate(coeffs))
             assert poly == direct, (p, n)
+
+
+def test_power_sum_matches_fraction_solver():
+    for p in range(41):
+        assert power_sum_coeffs(p).coeffs == power_sum_coeffs_fraction(p), p
 
 
 def test_guo_qi_known_values():
@@ -155,3 +163,26 @@ def test_even_only_methods_never_return_zero_for_odd():
         for n in (1, 3, 9):
             with pytest.raises(UnsupportedIndexError):
                 bernoulli(n, method)
+
+
+@pytest.mark.parametrize("method", [Method.THEOREM, Method.BELL])
+def test_diagonal_routes_without_table_match_full_table(method):
+    indices = (0, 1, 2, 37, 64, 120)
+    series = bernoulli_series(max(indices))
+    for n in indices:
+        if not supports(method, n):
+            continue
+        value = bernoulli(n, method)
+        assert value == bernoulli(n, method, table=StirlingTable(2 * n)), n
+        assert value == series[n], n
+
+
+def test_theorem_query_memory_is_linear():
+    # the full StirlingTable(600) alone takes about 40 MB
+    tracemalloc.start()
+    try:
+        bernoulli(300, Method.THEOREM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024

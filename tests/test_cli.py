@@ -97,6 +97,16 @@ def test_bell_rejects_bad_tokens(capsys):
     assert code == 64
 
 
+def test_bell_accepts_long_numerals(capsys):
+    ones = "1" * 4400
+    code, out, _ = run_cli(capsys, "bell", "1", "1", "--args", ones)
+    assert code == 0
+    assert out == ones + "\n"
+    code, _, err = run_cli(capsys, "bell", "1", "1", "--args", ones + "x")
+    assert code == 64
+    assert len(err) < 80
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "1")
     assert code == 0

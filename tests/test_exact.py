@@ -102,3 +102,29 @@ def test_format_past_int_digit_limit():
     assert format_rational(big) == digits
     assert format_rational(Fraction(-big, 3)) == "-" + digits + "/3"
     assert format_rational(Fraction(1, big)) == "1/" + digits
+
+
+def test_parse_past_int_digit_limit():
+    # 4400 digits is past the default str-to-int limit of 4300
+    digits = "1" + "0" * 4398 + "1"
+    value = parse_rational("-" + digits + "/3")
+    assert value == Fraction(-(10**4399 + 1), 3)
+    assert format_rational(value) == "-" + digits + "/3"
+    assert parse_rational(digits) == 10**4399 + 1
+
+
+@pytest.mark.parametrize("lenient", ["1_000", "\u0661\u0662", " 3 / 4", " 3", "3\n"])
+def test_parse_rejects_lenient_forms(lenient):
+    with pytest.raises(ValueError):
+        parse_rational(lenient)
+
+
+def test_parse_error_echoes_bounded_input():
+    with pytest.raises(ValueError) as info:
+        parse_rational("x" * 5000)
+    message = str(info.value)
+    assert message.startswith("not a rational: 'xxx")
+    assert len(message) < 70
+    with pytest.raises(ValueError) as info:
+        parse_rational("1" * 5000 + "/0")
+    assert len(str(info.value)) < 70

@@ -1,7 +1,7 @@
 import pytest
 
 from bernstir.series import stirling_egf_coeff
-from bernstir.stirling import StirlingTable, stirling_explicit
+from bernstir.stirling import StirlingDiagonal, StirlingTable, stirling_explicit
 
 from oracles import count_partitions_into, set_partitions
 
@@ -83,3 +83,23 @@ def test_iteration_is_lexicographic():
         (2, 0, 0), (2, 1, 1), (2, 2, 1),
         (3, 0, 0), (3, 1, 1), (3, 2, 3), (3, 3, 1),
     ]
+
+
+def test_diagonal_matches_table_to_60():
+    table = StirlingTable(120)
+    for d in range(61):
+        diagonal = StirlingDiagonal(d)
+        for k in range(d + 1):
+            assert diagonal.value(d + k, k) == table.value(d + k, k), (d, k)
+
+
+def test_diagonal_rejects_cells_off_it():
+    diagonal = StirlingDiagonal(5)
+    for n, k in ((6, 0), (6, 2), (8, 2), (10, 4), (11, 6), (12, 6), (3, 3), (-1, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            diagonal.value(n, k)
+    assert diagonal.value(5, 0) == 0
+    assert diagonal.value(6, 1) == 1
+    assert diagonal.value(7, 2) == 63
+    with pytest.raises(ValueError):
+        StirlingDiagonal(-1)
