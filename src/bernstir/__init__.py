@@ -35,7 +35,7 @@ from .series import (
     bernoulli_series,
     stirling_egf_coeff,
 )
-from .stirling import StirlingDiagonal, StirlingTable, stirling_explicit
+from .stirling import StirlingDiagonal, StirlingTable, stirling_explicit, stirling_rows
 from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
@@ -71,5 +71,6 @@ __all__ = [
     "rat",
     "stirling_egf_coeff",
     "stirling_explicit",
+    "stirling_rows",
     "supports",
 ]

@@ -9,6 +9,12 @@ are always exact "p"/"p/q" strings so nothing passes through floating
 point, and documents re-render byte-identically after a parse.  CSV emits
 unquoted fields (every field is sign/digits/slash/letters only).
 
+`stirling` streams the triangle: it computes, renders and writes one row
+at a time, so it holds one row in memory whatever --max-n is.  Every other
+command writes its output once it is complete.  A reader that closes stdout
+early is not an error: the command keeps its exit code (0 for `stirling`)
+and prints nothing on stderr.
+
 The environment variable BERNSTIR_MAX_N caps any requested index (default
 10000) so a typo cannot start a runaway job.
 """
@@ -19,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
 from .bernoulli import (
@@ -31,7 +37,7 @@ from .bernoulli import (
     supported_methods,
 )
 from .exact import format_rational, parse_rational
-from .stirling import StirlingTable
+from .stirling import stirling_rows
 from .verify import cross_verify
 
 EXIT_OK = 0
@@ -42,6 +48,21 @@ DEFAULT_CAP = 10000
 FORMATS = ("plain", "json", "csv")
 METHOD_NAMES = tuple(m.value for m in Method)
 KNOWN = tuple(m.value for m in Method if ROUTES[m].known_discrepancy)
+
+# The stirling dump per format: (head, row template, separator, tail).  A row
+# template takes n and gives the template of one cell (k, S(n, k)) of row n;
+# cells are joined by the separator, within a row and across rows.  The json
+# cells reproduce json.dumps(records, sort_keys=True, indent=2) for records
+# {"n": n, "k": k, "value": "S(n, k)"}; values are digits only, so nothing
+# needs escaping.
+STIRLING_FORMATS = {
+    "plain": ("", "%d %%d %%s\n", "", ""),
+    "csv": ("n,k,value\n", "%d,%%d,%%s\n", "", ""),
+    "json": ("[\n", '  {\n    "k": %%d,\n    "n": %d,\n    "value": "%%s"\n  }', ",\n", "\n]\n"),
+}
+
+# What a command hands to main(): its output in chunks, and its exit code.
+Output = tuple[Iterable[str], int]
 
 
 class UsageError(Exception):
@@ -90,7 +111,7 @@ def _parse_method(name: str) -> Method:
         ) from None
 
 
-def cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_bernoulli(args: argparse.Namespace) -> Output:
     n = args.n
     if n < 0:
         raise UsageError("n must be >= 0, got %d" % n)
@@ -111,31 +132,39 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
             {"n": n, "method": method.value, "value": format_rational(bernoulli(n, method))}
         ]
     if args.format == "json":
-        return render_json(records), EXIT_OK
-    if args.format == "csv":
-        return (
-            render_csv("n,method,value", [(r["n"], r["method"], r["value"]) for r in records]),
-            EXIT_OK,
-        )
-    if len(records) == 1:
-        return records[0]["value"] + "\n", EXIT_OK
-    return "".join("%s %s\n" % (r["method"], r["value"]) for r in records), EXIT_OK
+        text = render_json(records)
+    elif args.format == "csv":
+        text = render_csv("n,method,value", [(r["n"], r["method"], r["value"]) for r in records])
+    elif len(records) == 1:
+        text = records[0]["value"] + "\n"
+    else:
+        text = "".join("%s %s\n" % (r["method"], r["value"]) for r in records)
+    return (text,), EXIT_OK
 
 
-def cmd_stirling(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_stirling(args: argparse.Namespace) -> Output:
     if args.max_n < 0:
         raise UsageError("--max-n must be >= 0, got %d" % args.max_n)
     _check_cap(args.max_n, "max-n")
-    table = StirlingTable(args.max_n)
-    if args.format == "json":
-        records = [{"n": n, "k": k, "value": str(v)} for n, k, v in table]
-        return render_json(records), EXIT_OK
-    if args.format == "csv":
-        return render_csv("n,k,value", table), EXIT_OK
-    return "".join("%d %d %d\n" % (n, k, v) for n, k, v in table), EXIT_OK
+    return _stirling_chunks(args.max_n, args.format), EXIT_OK
 
 
-def cmd_bell(args: argparse.Namespace) -> tuple[str, int]:
+def _stirling_chunks(max_n: int, fmt: str) -> Iterator[str]:
+    """The dump as one chunk per row of the triangle, then its tail."""
+    head, row_template, sep, tail = STIRLING_FORMATS[fmt]
+    lead = head
+    for n, row in enumerate(stirling_rows(max_n)):
+        cell = row_template % n
+        try:
+            text = sep.join([cell % kv for kv in enumerate(row)])
+        except ValueError:  # a value past the int-to-str digit limit
+            text = sep.join([cell % (k, format_rational(v)) for k, v in enumerate(row)])
+        yield lead + text
+        lead = sep
+    yield tail
+
+
+def cmd_bell(args: argparse.Namespace) -> Output:
     n, k = args.n, args.k
     if not n >= k >= 1:
         raise UsageError("bell needs n >= k >= 1, got (%d, %d)" % (n, k))
@@ -152,13 +181,15 @@ def cmd_bell(args: argparse.Namespace) -> tuple[str, int]:
     evaluate = bell_partition_sum if args.evaluator == "partition-sum" else bell_recurrence
     value = format_rational(evaluate(n, k, xs))
     if args.format == "json":
-        return render_json([{"n": n, "k": k, "value": value}]), EXIT_OK
-    if args.format == "csv":
-        return render_csv("n,k,value", [(n, k, value)]), EXIT_OK
-    return value + "\n", EXIT_OK
+        text = render_json([{"n": n, "k": k, "value": value}])
+    elif args.format == "csv":
+        text = render_csv("n,k,value", [(n, k, value)])
+    else:
+        text = value + "\n"
+    return (text,), EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> Output:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1, got %d" % args.max_n)
     _check_cap(args.max_n, "max-n")
@@ -166,17 +197,19 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     report = cross_verify(args.max_n, known)
     code = EXIT_OK if report.ok else EXIT_MISMATCH
     if args.format == "json":
-        return report.to_json(), code
-    if args.format == "csv":
+        text = report.to_json()
+    elif args.format == "csv":
         rows = [
             (e.n, e.method, format_rational(e.value), "yes" if e.agrees_with_oracle else "no")
             for e in report.entries
         ]
-        return render_csv("n,method,value,agrees", rows), code
-    return report.to_table(), code
+        text = render_csv("n,method,value,agrees", rows)
+    else:
+        text = report.to_table()
+    return (text,), code
 
 
-def cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_bench(args: argparse.Namespace) -> Output:
     """Render cross_verify's entries with the time each method took."""
     if args.max_n < 2:
         raise UsageError("--max-n must be >= 2, got %d" % args.max_n)
@@ -194,10 +227,12 @@ def cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
     ]
     if args.format == "json":
         keys = ("n", "method", "value", "micros")
-        return render_json([dict(zip(keys, row)) for row in rows]), code
-    if args.format == "csv":
-        return render_csv("n,method,value,micros", rows), code
-    return "".join("%d %s %s %dus\n" % row for row in rows), code
+        text = render_json([dict(zip(keys, row)) for row in rows])
+    elif args.format == "csv":
+        text = render_csv("n,method,value,micros", rows)
+    else:
+        text = "".join("%d %s %s %dus\n" % row for row in rows)
+    return (text,), code
 
 
 def build_parser() -> _Parser:
@@ -251,11 +286,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text, code = args.func(args)
+        chunks, code = args.func(args)
     except (UsageError, UnsupportedIndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(text)
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, which is not an error.  Point the
+        # descriptor at /dev/null so that the interpreter's final flush of
+        # what is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

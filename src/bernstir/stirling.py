@@ -1,8 +1,9 @@
 """Stirling numbers of the second kind by two independent routes.
 
-``StirlingTable`` builds the full triangle with the additive recurrence and
-is the production path; ``StirlingDiagonal`` holds the one diagonal
-S(d+k, k) that a single-index Bernoulli query reads, in O(d) memory;
+``stirling_rows`` runs the additive recurrence one row at a time and is the
+production path; ``StirlingTable`` keeps all of its rows for repeated
+reads; ``StirlingDiagonal`` holds the one diagonal S(d+k, k) that a
+single-index Bernoulli query reads, in O(d) memory;
 ``stirling_explicit`` evaluates the alternating binomial sum directly and
 serves as the cross-check.
 """
@@ -14,10 +15,31 @@ from typing import Iterator
 from .exact import binomial, factorial
 
 
+def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the rows (S(n, 0), ..., S(n, n)) for n = 0..max_n in order.
+
+    Each row comes from the one before by S(n, k) = k*S(n-1, k) + S(n-1, k-1)
+    and only that row is kept, so a caller that drops the rows it has read
+    holds one row at a time.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0, got %d" % max_n)
+    row: tuple[int, ...] = (1,)
+    yield row
+    for n in range(1, max_n + 1):
+        prev = row
+        cells = [0]
+        for k in range(1, n):
+            cells.append(k * prev[k] + prev[k - 1])
+        cells.append(1)
+        row = tuple(cells)
+        yield row
+
+
 class StirlingTable:
     """Triangle of S(n, k) for 0 <= k <= n <= max_n.
 
-    Built once from S(n, k) = k*S(n-1, k) + S(n-1, k-1) and immutable after
+    Built once from the rows of ``stirling_rows`` and immutable after
     construction, so concurrent reads are safe.  Conventions: S(0, 0) = 1,
     S(n, 0) = 0 for n >= 1, and S(n, k) = 0 whenever k > n.
     """
@@ -25,17 +47,7 @@ class StirlingTable:
     __slots__ = ("_rows",)
 
     def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError("max_n must be >= 0, got %d" % max_n)
-        rows = [(1,)]
-        for n in range(1, max_n + 1):
-            prev = rows[-1]
-            row = [0]
-            for k in range(1, n):
-                row.append(k * prev[k] + prev[k - 1])
-            row.append(1)
-            rows.append(tuple(row))
-        self._rows = tuple(rows)
+        self._rows = tuple(stirling_rows(max_n))
 
     @property
     def max_n(self) -> int:
@@ -51,12 +63,6 @@ class StirlingTable:
         if k > n:
             return 0
         return self._rows[n][k]
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (n, k, S(n, k)) in lexicographic (n, k) order."""
-        for n, row in enumerate(self._rows):
-            for k, v in enumerate(row):
-                yield n, k, v
 
 
 class StirlingDiagonal:

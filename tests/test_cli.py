@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import bernstir
-from bernstir.cli import main, render_json
+from bernstir.cli import FORMATS, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -215,18 +216,67 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
-def test_module_entry_point():
+def child_env():
     # the child imports the same bernstir as the tests, installed or not
     src = str(Path(bernstir.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bernstir", "bernoulli", "2", "--method", "logan"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/6\n"
+
+
+def test_stirling_reader_closing_early_is_not_an_error():
+    with subprocess.Popen(
+        [sys.executable, "-m", "bernstir", "stirling", "--max-n", "400", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    ) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert head.startswith(b"[\n  {\n")
+    assert code == 0
+    assert err == b""
+
+
+def test_stirling_holds_one_row(monkeypatch):
+    # one row of S(300, k), its json text and the parser: about 0.8 MB
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["stirling", "--max-n", "300", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_stirling_past_int_digit_limit(capsys, fmt):
+    # S(400, k) reaches 644 digits, past the lowest limit Python allows
+    expected = run_cli(capsys, "stirling", "--max-n", "400", "--format", fmt)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(capsys, "stirling", "--max-n", "400", "--format", fmt) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -251,6 +301,9 @@ GOLDEN = Path(__file__).parent / "golden"
             "verify_4_allow_known.csv",
         ),
         (("verify", "--max-n", "2"), 2, "verify_2.txt"),
+        (("stirling", "--max-n", "8"), 0, "stirling_8.txt"),
+        (("stirling", "--max-n", "8", "--format", "csv"), 0, "stirling_8.csv"),
+        (("stirling", "--max-n", "8", "--format", "json"), 0, "stirling_8.json"),
     ],
 )
 def test_golden_stdout(capsys, argv, code, golden):

@@ -1,7 +1,12 @@
 import pytest
 
 from bernstir.series import stirling_egf_coeff
-from bernstir.stirling import StirlingDiagonal, StirlingTable, stirling_explicit
+from bernstir.stirling import (
+    StirlingDiagonal,
+    StirlingTable,
+    stirling_explicit,
+    stirling_rows,
+)
 
 from oracles import count_partitions_into, set_partitions
 
@@ -76,13 +81,23 @@ def test_egf_coefficients_match_table():
 
 
 def test_iteration_is_lexicographic():
-    triples = list(StirlingTable(3))
+    triples = [(n, k, v) for n, row in enumerate(stirling_rows(3)) for k, v in enumerate(row)]
     assert triples == [
         (0, 0, 1),
         (1, 0, 0), (1, 1, 1),
         (2, 0, 0), (2, 1, 1), (2, 2, 1),
         (3, 0, 0), (3, 1, 1), (3, 2, 3), (3, 3, 1),
     ]
+
+
+def test_rows_are_the_table_rows():
+    table = StirlingTable(60)
+    rows = list(stirling_rows(60))
+    assert len(rows) == 61
+    for n, row in enumerate(rows):
+        assert row == tuple(table.value(n, k) for k in range(n + 1)), n
+    with pytest.raises(ValueError):
+        next(stirling_rows(-1))
 
 
 def test_diagonal_matches_table_to_60():
