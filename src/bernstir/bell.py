@@ -111,23 +111,33 @@ def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:
     )
 
 
-def bell_reciprocal_args(n: int, k: int, table: StirlingSource) -> Fraction:
-    """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
-    = n!/(n+k)! * sum_{i=0}^{k} (-1)^(k-i) C(n+k, k-i) S(n+i, i).
+def reciprocal_args_sum(n: int, k: int, diagonal: Sequence[int]) -> int:
+    """T_k = sum_{j=0}^{k} (-1)^j C(n+k, j) S(n+k-j, k-j), an integer, where
+    diagonal[i] holds S(n+i, i) for 0 <= i <= k and n >= k >= 1.
 
-    Reads only the diagonal S(n+i, i).  The sum runs over j = k-i, and
     C(n+k, j) is updated step by step; each division is exact, because
     c*(n+k-j) is (j+1)*C(n+k, j+1).
     """
-    if not n >= k >= 1:
-        raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
     total = 0
     c = 1  # C(n+k, j)
     for j in range(k + 1):
-        term = c * table.value(n + k - j, k - j)
+        term = c * diagonal[k - j]
         total += -term if j & 1 else term
         c = c * (n + k - j) // (j + 1)
-    return Fraction(factorial(n), factorial(n + k)) * total
+    return total
+
+
+def bell_reciprocal_args(n: int, k: int, table: StirlingSource) -> Fraction:
+    """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
+    = n!/(n+k)! * sum_{i=0}^{k} (-1)^(k-i) C(n+k, k-i) S(n+i, i),
+
+    which is n!/(n+k)! times `reciprocal_args_sum`.  Reads only the diagonal
+    S(n+i, i), 0 <= i <= k.
+    """
+    if not n >= k >= 1:
+        raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
+    diagonal = [table.value(n + i, i) for i in range(k + 1)]
+    return Fraction(factorial(n), factorial(n + k)) * reciprocal_args_sum(n, k, diagonal)
 
 
 def bell_scaling_identity_lhs_rhs(

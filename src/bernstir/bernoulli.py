@@ -13,11 +13,12 @@ discrepancy instead of masking it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bell import bell_reciprocal_args
+from .bell import reciprocal_args_sum
 from .exact import binomial, factorial
 from .series import bernoulli_series
 from .stirling import StirlingDiagonal, StirlingSource, StirlingTable
@@ -109,40 +110,65 @@ def bernoulli_oracle(n: int) -> Fraction:
 
 
 def bernoulli_theorem(n: int, table: StirlingSource) -> Fraction:
-    """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i)."""
+    """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i).
+
+    Summed in integers over the one denominator P = (2n)!/n!.  The weight
+    C(n+1, i+1)/C(n+i, i) is C(n+1, i+1) i! n!/(n+i)!, so times P it is the
+    integer w_i/(i+1) with w_i = (n+1)!/(n-i)! * (2n)!/(n+i)!, and
+    w_{i+1} = w_i (n-i)/(n+i+1).  Every division is exact.
+    """
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
-    total = Fraction(0)
+    denom = factorial(2 * n) // factorial(n)
+    w = (n + 1) * denom  # w_0
+    total = 0
     for i in range(n + 1):
-        term = Fraction(binomial(n + 1, i + 1), binomial(n + i, i))
-        total += (-1) ** i * term * table.value(n + i, i)
-    return total
+        term = w // (i + 1) * table.value(n + i, i)
+        total += -term if i & 1 else term
+        w = w * (n - i) // (n + i + 1)
+    return Fraction(total, denom)
 
 
 def bernoulli_bell(n: int, table: StirlingSource | None = None) -> Fraction:
     """B_n = sum_{k=1}^{n} (-1)^k k! B_{n,k}(1/2, 1/3, ..., 1/(n-k+2)).
 
-    Evaluates each Bell value through its closed form, which reads only the
-    Stirling diagonal S(n+i, i); that diagonal is built on demand.
+    Each Bell value is n!/(n+k)! T_k by its closed form, where the integer
+    T_k (`reciprocal_args_sum`) reads only the Stirling diagonal S(n+i, i).
+    That diagonal is read once, and built on demand.  Summed in integers
+    over the one denominator (2n)!/n!, the k-th term is u_k T_k with
+    u_k = k! (2n)!/(n+k)!, and u_{k+1} = u_k (k+1)/(n+k+1) exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     if table is None:
         table = StirlingDiagonal(n)
-    total = Fraction(0)
+    diagonal = [table.value(n + i, i) for i in range(n + 1)]
+    denom = factorial(2 * n) // factorial(n)
+    u = denom // (n + 1)  # u_1
+    total = 0
     for k in range(1, n + 1):
-        total += (-1) ** k * factorial(k) * bell_reciprocal_args(n, k, table)
-    return total
+        term = u * reciprocal_args_sum(n, k, diagonal)
+        total += -term if k & 1 else term
+        u = u * (k + 1) // (n + k + 1)
+    return Fraction(total, denom)
 
 
 def bernoulli_logan(n: int, table: StirlingTable) -> Fraction:
-    """B_n = sum_{k=1}^{n} (-1)^k * k!/(k+1) * S(n, k)."""
+    """B_n = sum_{k=1}^{n} (-1)^k * k!/(k+1) * S(n, k).
+
+    Summed in integers over the one denominator L = lcm(1, ..., n+1), where
+    the weight k!/(k+1) becomes k! L/(k+1).
+    """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    return sum(
-        (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
-        for k in range(1, n + 1)
-    )
+    lcm = math.lcm(*range(1, n + 2))
+    scaled = lcm  # k! L
+    total = 0
+    for k in range(1, n + 1):
+        scaled *= k
+        term = scaled // (k + 1) * table.value(n, k)
+        total += -term if k & 1 else term
+    return Fraction(total, lcm)
 
 
 @dataclass(frozen=True)
@@ -199,34 +225,55 @@ def bernoulli_guo_qi(k: int) -> Fraction:
     The A_m are the power-sum coefficients for exponent 2k-1.  That exponent
     choice is the one that reproduces B_4, B_6, ... exactly (exponent 2k does
     not), and the cross-verification suite revalidates it at every even index.
+
+    Summed in integers: the tail sum_m A_m/(m+1) over m = 2, 4, ..., 2k-2
+    is kept as one numerator over the lcm of the denominators seen so far,
+    and 1/2 - 1/(2k+1) = (2k-1)/(2(2k+1)) joins it over their lcm at the
+    end.  Ascending m takes the large numerators while that lcm is small.
     """
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
-    total = Fraction(1, 2) - Fraction(1, 2 * k + 1)
+    n = 2 * k
+    total, common = 0, 1  # the tail is total/common
     if k > 1:
-        coeffs = power_sum_coeffs(2 * k - 1).coeffs
-        total -= (
-            2 * k * sum(coeffs[2 * (k - i)] / (2 * (k - i) + 1) for i in range(1, k))
-        )
-    return total
+        coeffs = power_sum_coeffs(n - 1).coeffs
+        for m in range(2, n - 1, 2):
+            den = coeffs[m].denominator * (m + 1)
+            g = math.gcd(common, den)
+            total = total * (den // g) + coeffs[m].numerator * (common // g)
+            common *= den // g
+    head = 2 * (n + 1)
+    q = math.lcm(common, head)
+    return Fraction((n - 1) * (q // head) - n * total * (q // common), q)
 
 
 def bernoulli_double_stirling(k: int, table: StirlingTable) -> Fraction:
     """B_{2k} = 1 + sum_{m=1}^{2k-1} S(2k+1, m+1) S(2k, 2k-m) / C(2k, m)
               - 2k/(2k+1) * sum_{m=1}^{2k} S(2k, m) S(2k+1, 2k-m+1) / C(2k, m-1).
+
+    With n = 2k, both sums are taken in integers over the one denominator
+    D = lcm(1, ..., n+1)/(n+1), which is the lcm of every C(n, m), so
+    1/C(n, m) becomes D/C(n, m); the whole value is over L = (n+1) D.
     """
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     n = 2 * k
+    lcm = math.lcm(*range(1, n + 2))
+    d = lcm // (n + 1)
+    scaled = []  # D / C(n, m) for m = 0..n
+    c = 1  # C(n, m)
+    for m in range(n + 1):
+        scaled.append(d // c)
+        c = c * (n - m) // (m + 1)
     first = sum(
-        Fraction(table.value(n + 1, m + 1) * table.value(n, n - m), binomial(n, m))
+        table.value(n + 1, m + 1) * table.value(n, n - m) * scaled[m]
         for m in range(1, n)
     )
     second = sum(
-        Fraction(table.value(n, m) * table.value(n + 1, n - m + 1), binomial(n, m - 1))
+        table.value(n, m) * table.value(n + 1, n - m + 1) * scaled[m - 1]
         for m in range(1, n + 1)
     )
-    return 1 + first - Fraction(n, n + 1) * second
+    return Fraction(lcm + (n + 1) * first - n * second, lcm)
 
 
 def alternating_double_sum(k: int) -> int:

@@ -56,13 +56,14 @@ class StirlingTable:
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0:
             raise ValueError("S(n, k) needs n, k >= 0, got (%d, %d)" % (n, k))
-        if n > self.max_n:
+        rows = self._rows
+        if n >= len(rows):
             raise ValueError(
-                "table covers n <= %d but S(%d, %d) was requested" % (self.max_n, n, k)
+                "table covers n <= %d but S(%d, %d) was requested" % (len(rows) - 1, n, k)
             )
         if k > n:
             return 0
-        return self._rows[n][k]
+        return rows[n][k]
 
 
 class StirlingDiagonal:

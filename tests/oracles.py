@@ -6,6 +6,7 @@ n = 10 or so).
 """
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 Block = tuple[int, ...]
@@ -97,3 +98,63 @@ def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
         nxt[0] += dd[j]
         poly = nxt
     return tuple(poly)
+
+
+# Fraction transcriptions of the Stirling routes, one Fraction per term, as
+# the routes were written before they were summed in integers.  `table` is
+# anything with value(n, k).
+
+
+def theorem_fraction(n: int, table) -> Fraction:
+    total = Fraction(0)
+    for i in range(n + 1):
+        term = Fraction(comb(n + 1, i + 1), comb(n + i, i))
+        total += (-1) ** i * term * table.value(n + i, i)
+    return total
+
+
+def reciprocal_args_fraction(n: int, k: int, table) -> Fraction:
+    total = 0
+    c = 1  # C(n+k, j)
+    for j in range(k + 1):
+        term = c * table.value(n + k - j, k - j)
+        total += -term if j & 1 else term
+        c = c * (n + k - j) // (j + 1)
+    return Fraction(factorial(n), factorial(n + k)) * total
+
+
+def bell_fraction(n: int, table) -> Fraction:
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += (-1) ** k * factorial(k) * reciprocal_args_fraction(n, k, table)
+    return total
+
+
+def logan_fraction(n: int, table) -> Fraction:
+    return sum(
+        (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
+        for k in range(1, n + 1)
+    )
+
+
+def guo_qi_fraction(k: int, coeffs: Sequence[Fraction]) -> Fraction:
+    """`coeffs` are the power-sum coefficients for exponent 2k-1."""
+    total = Fraction(1, 2) - Fraction(1, 2 * k + 1)
+    if k > 1:
+        total -= (
+            2 * k * sum(coeffs[2 * (k - i)] / (2 * (k - i) + 1) for i in range(1, k))
+        )
+    return total
+
+
+def double_stirling_fraction(k: int, table) -> Fraction:
+    n = 2 * k
+    first = sum(
+        Fraction(table.value(n + 1, m + 1) * table.value(n, n - m), comb(n, m))
+        for m in range(1, n)
+    )
+    second = sum(
+        Fraction(table.value(n, m) * table.value(n + 1, n - m + 1), comb(n, m - 1))
+        for m in range(1, n + 1)
+    )
+    return 1 + first - Fraction(n, n + 1) * second

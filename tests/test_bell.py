@@ -10,8 +10,10 @@ from bernstir.bell import (
     bell_recurrence,
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
+    reciprocal_args_sum,
 )
-from bernstir.stirling import StirlingTable
+from bernstir.exact import factorial
+from bernstir.stirling import StirlingDiagonal, StirlingTable
 
 from oracles import bell_by_set_partitions, count_partitions_into
 
@@ -103,9 +105,14 @@ def test_reciprocal_args_known_values():
 def test_reciprocal_args_equals_partition_sum():
     table = StirlingTable(24)
     for n in range(1, 13):
+        diagonal = StirlingDiagonal(n)
+        cells = [diagonal.value(n + i, i) for i in range(n + 1)]
         for k in range(1, n + 1):
             args = [Fraction(1, i + 1) for i in range(1, n - k + 2)]
-            assert bell_reciprocal_args(n, k, table) == bell_partition_sum(n, k, args)
+            expected = bell_partition_sum(n, k, args)
+            assert bell_reciprocal_args(n, k, table) == expected
+            scale = Fraction(factorial(n), factorial(n + k))
+            assert scale * reciprocal_args_sum(n, k, cells) == expected, (n, k)
 
 
 def test_scaling_identity_known_values():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bernstir.bernoulli import (
+    ROUTES,
     Method,
     UnsupportedIndexError,
     alternating_double_sum,
@@ -20,9 +21,16 @@ from bernstir.bernoulli import (
     supports,
 )
 from bernstir.series import bernoulli_series
-from bernstir.stirling import StirlingTable
+from bernstir.stirling import StirlingDiagonal, StirlingTable
 
-from oracles import power_sum_coeffs_fraction
+from oracles import (
+    bell_fraction,
+    double_stirling_fraction,
+    guo_qi_fraction,
+    logan_fraction,
+    power_sum_coeffs_fraction,
+    theorem_fraction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +194,74 @@ def test_theorem_query_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+# Each integer kernel against its Fraction transcription, both called as
+# f(n, table); the even-only routes take k = n/2.
+INTEGER_KERNELS = {
+    Method.THEOREM: (bernoulli_theorem, theorem_fraction),
+    Method.BELL: (bernoulli_bell, bell_fraction),
+    Method.LOGAN: (bernoulli_logan, logan_fraction),
+    Method.DOUBLE_STIRLING: (
+        lambda n, t: bernoulli_double_stirling(n // 2, t),
+        lambda n, t: double_stirling_fraction(n // 2, t),
+    ),
+    Method.GUO_QI: (
+        lambda n, t: bernoulli_guo_qi(n // 2),
+        lambda n, t: guo_qi_fraction(n // 2, power_sum_coeffs(n - 1).coeffs),
+    ),
+}
+DIAGONAL_KERNELS = (Method.THEOREM, Method.BELL)
+
+
+@pytest.fixture(scope="module")
+def table_300():
+    return StirlingTable(300)
+
+
+@pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
+def test_integer_kernel_equals_fraction_sum(method, table_300):
+    kernel, fraction_sum = INTEGER_KERNELS[method]
+    for n in range(151):
+        if not supports(method, n):
+            continue
+        expected = fraction_sum(n, table_300)
+        assert kernel(n, table_300) == expected, n
+        if method in DIAGONAL_KERNELS:
+            assert kernel(n, StirlingDiagonal(n)) == expected, n
+
+
+@pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
+def test_integer_kernel_equals_fraction_sum_at_400(method):
+    kernel, fraction_sum = INTEGER_KERNELS[method]
+    holder = StirlingDiagonal(400) if method in DIAGONAL_KERNELS else StirlingTable(401)
+    assert kernel(400, holder) == fraction_sum(400, holder)
+
+
+def test_integer_kernels_at_first_index():
+    # the common denominators degenerate here: (2n)!/n! is 1 at n = 0 and
+    # 2 at n = 1, lcm(1, ..., n+1) is 2 for logan at n = 1, and the guo-qi
+    # tail is empty at n = 2
+    table = StirlingTable(6)
+    for method, (kernel, fraction_sum) in INTEGER_KERNELS.items():
+        n = ROUTES[method].first
+        expected = bernoulli_series(n)[n]
+        assert kernel(n, table) == fraction_sum(n, table) == expected, method
+        if method in DIAGONAL_KERNELS:
+            assert kernel(n, StirlingDiagonal(n)) == expected, method
+
+
+def test_bell_reads_each_diagonal_cell_once():
+    class CountingDiagonal:
+        def __init__(self, d):
+            self.inner = StirlingDiagonal(d)
+            self.reads = 0
+
+        def value(self, n, k):
+            self.reads += 1
+            return self.inner.value(n, k)
+
+    for n in (1, 2, 7, 30):
+        diagonal = CountingDiagonal(n)
+        assert bernoulli_bell(n, diagonal) == bernoulli_series(n)[n]
+        assert diagonal.reads <= n + 1, n
