@@ -5,10 +5,16 @@ Two independent evaluators: the defining sum over block-size profiles
 (``bell_recurrence``, the production path for larger n).  On top of those,
 closed forms for the two argument specializations (0, 1, ..., 1) and
 (1/2, 1/3, ...), and a rescaling identity evaluated on both sides.
+
+Both evaluators run in integers.  B_{n,k} is homogeneous of degree k, so
+with q the lcm of the denominators of x_1..x_{n-k+1} and a_i = q * x_i,
+B_{n,k}(x) = B_{n,k}(a) / q^k (Comtet, Advanced Combinatorics, 1974, 3.3).
+Each evaluator sums B_{n,k}(a) exactly and divides by q^k once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,15 +24,20 @@ from .stirling import StirlingSource, StirlingTable
 Args = Sequence[Fraction | int]
 
 
-def _validated(n: int, k: int, xs: Args, need: int) -> tuple[Fraction, ...]:
+def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
+    """The integers a_i = q * x_i for i = 1..n-k+1, and q, the lcm of the
+    denominators of those x_i.  Arguments past x_{n-k+1} do not enter q.
+    """
     if not n >= k >= 1:
         raise ValueError("B_{n,k} needs n >= k >= 1, got (%d, %d)" % (n, k))
-    out = tuple(Fraction(x) for x in xs)
-    if len(out) < need:
+    m = n - k + 1
+    if len(xs) < m:
         raise ValueError(
-            "B_{%d,%d} needs arguments x_1..x_%d, got %d" % (n, k, need, len(out))
+            "B_{%d,%d} needs arguments x_1..x_%d, got %d" % (n, k, m, len(xs))
         )
-    return out
+    xs = [Fraction(x) for x in xs[:m]]
+    q = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (q // x.denominator) for x in xs], q
 
 
 def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
@@ -35,67 +46,68 @@ def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
 
     Each profile contributes n! / (prod l_i! * prod (i!)^l_i) * prod x_i^l_i.
     The multiplicity is an exact integer (it counts the set partitions with
-    that profile) and is computed in integer arithmetic before the rational
-    arguments enter.
+    that profile).  The sum runs on the integers a_i = q * x_i and returns
+    B_{n,k}(a) / q^k (see the module docstring).  Both products are carried
+    down the search as it places blocks, and the search keeps its own stack,
+    so its Python depth does not grow with n.
     """
-    m = n - k + 1
-    xs = _validated(n, k, xs, m)
-    n_fact = factorial(n)
-    total = Fraction(0)
-    profile = [0] * (m + 1)
-
-    def emit() -> None:
-        nonlocal total
-        denom = 1
-        prod = Fraction(1)
-        for i in range(1, m + 1):
-            li = profile[i]
-            if li:
-                denom *= factorial(li) * factorial(i) ** li
-                prod *= xs[i - 1] ** li
-        total += (n_fact // denom) * prod  # exact: counts profile partitions
-
-    def search(size: int, weight: int, count: int) -> None:
-        # multiplicities for block sizes `size` down to 1; `weight` elements
-        # and `count` blocks still to place
-        if size == 1:
-            if weight == count:
-                profile[1] = count
-                emit()
-                profile[1] = 0
-            return
-        for mult in range(min(weight // size, count), -1, -1):
-            w = weight - mult * size
-            c = count - mult
+    a, q = _scaled(n, k, xs)
+    fact = [1] * (n + 1)
+    for i in range(1, n + 1):
+        fact[i] = fact[i - 1] * i
+    total = 0
+    # (size, weight, count, denom, prod): multiplicities for block sizes
+    # `size` down to 1 are still open, with `weight` elements in `count`
+    # blocks to place; `denom` is prod l_i! (i!)^l_i and `prod` is
+    # prod a_i^l_i over the sizes already placed.  No block is larger than
+    # weight - count + 1, so the sizes above that are skipped.
+    stack = [(n - k + 1, n, k, 1, 1)]
+    while stack:
+        size, weight, count, denom, prod = stack.pop()
+        if size <= 2:  # only pairs and singletons are open: their counts follow
+            pairs = weight - count
+            if pairs:
+                denom *= fact[pairs] << pairs
+                prod *= a[1] ** pairs
+            singles = count - pairs
+            denom *= fact[singles]
+            total += fact[n] // denom * prod * a[0] ** singles  # exact
+            continue
+        step, a_size = fact[size], a[size - 1]
+        for mult in range(min(weight // size, count) + 1):
+            if mult:
+                denom *= step * mult
+                prod *= a_size
+            w, c = weight - mult * size, count - mult
             if c <= w <= (size - 1) * c:
-                profile[size] = mult
-                search(size - 1, w, c)
-        profile[size] = 0
-
-    search(m, n, k)
-    return total
+                top = w - c + 1
+                stack.append((top if top < size else size - 1, w, c, denom, prod))
+    return Fraction(total, q**k)
 
 
 def bell_recurrence(n: int, k: int, xs: Args) -> Fraction:
     """Same value through the convolution on the block holding one marked
-    element: B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}.
+    element: B_{m,j} = sum_i C(m-1, i-1) x_i B_{m-i,j-1}.
+
+    Runs bottom up over j on the integers a_i = q * x_i and returns
+    B_{n,k}(a) / q^k.  Row j holds B_{m,j}(a) for m = j..j+n-k, which is all
+    that row j+1 reads; the last row is the one value m = n.
     """
-    xs = _validated(n, k, xs, n - k + 1)
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def rec(m: int, j: int) -> Fraction:
-        if j == 0 or m < j:
-            return Fraction(1) if m == 0 and j == 0 else Fraction(0)
-        key = (m, j)
-        cached = memo.get(key)
-        if cached is None:
-            cached = Fraction(0)
-            for i in range(1, m - j + 2):
-                cached += binomial(m - 1, i - 1) * xs[i - 1] * rec(m - i, j - 1)
-            memo[key] = cached
-        return cached
-
-    return rec(n, k)
+    a, q = _scaled(n, k, xs)
+    width = n - k + 1
+    row = a  # B_{m,1}(a) = a_m
+    for j in range(2, k + 1):
+        nxt = []
+        for t in range(width - 1 if j == k else 0, width):
+            top = j + t - 1  # m - 1 for m = j + t
+            c = 1  # C(m-1, i)
+            acc = 0
+            for i in range(t + 1):
+                acc += c * a[i] * row[t - i]
+                c = c * (top - i) // (i + 1)
+            nxt.append(acc)
+        row = nxt
+    return Fraction(row[-1], q**k)
 
 
 def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:

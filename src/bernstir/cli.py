@@ -22,8 +22,10 @@ The environment variable BERNSTIR_MAX_N caps any requested index (default
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -70,6 +72,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # A token that starts with "-" and a digit is a value, such as
+        # `--args -1/2,1`, not an option: none of our options starts that
+        # way.  argparse's own pattern takes only plain negative numbers.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str):  # route argparse failures to exit 64
         raise UsageError(message)
 
@@ -235,7 +244,9 @@ def cmd_bench(args: argparse.Namespace) -> Output:
     return (text,), code
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process; parsing leaves it unchanged."""
     parser = _Parser(prog="bernstir", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -158,3 +158,63 @@ def double_stirling_fraction(k: int, table) -> Fraction:
         for m in range(1, n + 1)
     )
     return 1 + first - Fraction(n, n + 1) * second
+
+
+# Fraction transcriptions of the two Bell evaluators, one Fraction per step,
+# as they were written before they ran in integers over q^k.
+
+
+def bell_partition_sum_fraction(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
+    m = n - k + 1
+    xs = [Fraction(x) for x in xs]
+    n_fact = factorial(n)
+    total = Fraction(0)
+    profile = [0] * (m + 1)
+
+    def emit() -> None:
+        nonlocal total
+        denom = 1
+        prod = Fraction(1)
+        for i in range(1, m + 1):
+            li = profile[i]
+            if li:
+                denom *= factorial(li) * factorial(i) ** li
+                prod *= xs[i - 1] ** li
+        total += (n_fact // denom) * prod
+
+    def search(size: int, weight: int, count: int) -> None:
+        if size == 1:
+            if weight == count:
+                profile[1] = count
+                emit()
+                profile[1] = 0
+            return
+        for mult in range(min(weight // size, count), -1, -1):
+            w = weight - mult * size
+            c = count - mult
+            if c <= w <= (size - 1) * c:
+                profile[size] = mult
+                search(size - 1, w, c)
+        profile[size] = 0
+
+    search(m, n, k)
+    return total
+
+
+def bell_recurrence_fraction(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
+    xs = [Fraction(x) for x in xs]
+    memo: dict[tuple[int, int], Fraction] = {}
+
+    def rec(m: int, j: int) -> Fraction:
+        if j == 0 or m < j:
+            return Fraction(1) if m == 0 and j == 0 else Fraction(0)
+        key = (m, j)
+        cached = memo.get(key)
+        if cached is None:
+            cached = Fraction(0)
+            for i in range(1, m - j + 2):
+                cached += comb(m - 1, i - 1) * xs[i - 1] * rec(m - i, j - 1)
+            memo[key] = cached
+        return cached
+
+    return rec(n, k)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,12 @@ from bernstir.bell import (
 from bernstir.exact import factorial
 from bernstir.stirling import StirlingDiagonal, StirlingTable
 
-from oracles import bell_by_set_partitions, count_partitions_into
+from oracles import (
+    bell_by_set_partitions,
+    bell_partition_sum_fraction,
+    bell_recurrence_fraction,
+    count_partitions_into,
+)
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -61,6 +67,29 @@ def test_recurrence_known_values():
 def test_partition_sum_equals_recurrence(inst):
     n, k, xs = inst
     assert bell_partition_sum(n, k, xs) == bell_recurrence(n, k, xs)
+
+
+def test_integer_evaluators_equal_fraction_transcriptions():
+    rng = random.Random(8)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for trial in range(3):
+                xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - k + 1)]
+                if trial:
+                    xs[rng.randrange(len(xs))] = Fraction(0)
+                want = bell_partition_sum_fraction(n, k, xs)
+                assert bell_recurrence_fraction(n, k, xs) == want
+                assert bell_partition_sum(n, k, xs) == want, (n, k, xs)
+                assert bell_recurrence(n, k, xs) == want, (n, k, xs)
+
+
+def test_extra_arguments_do_not_change_value():
+    rng = random.Random(9)
+    extra = [Fraction(1, 10**40 + 7), Fraction(-3, 2**61 - 1)]
+    for n, k in [(1, 1), (5, 2), (9, 4), (12, 12)]:
+        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - k + 1)]
+        for evaluate in (bell_partition_sum, bell_recurrence):
+            assert evaluate(n, k, xs + extra) == evaluate(n, k, xs), (n, k)
 
 
 def test_all_ones_give_stirling_numbers():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bernstir
-from bernstir.cli import FORMATS, main, render_json
+from bernstir.cli import FORMATS, build_parser, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +86,29 @@ def test_bell_command(capsys):
     )
     assert code == 0
     assert out == "3\n"
+    # a value may start with "-" as a token of its own
+    code, out, err = run_cli(capsys, "bell", "3", "1", "--args", "-1/2,1,1")
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, err = run_cli(capsys, "bell", "3", "2", "--args", "-1/2,1/3")
+    assert (code, out, err) == (0, "-1/2\n", "")
+
+
+ONES_1500 = ",".join(["1"] * 1500)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["bell", "1500", "1500", "--args", "1"], 1),
+        (["bell", "1500", "1", "--args", ONES_1500, "--evaluator", "partition-sum"], 1),
+        (["bell", "1500", "2", "--args", ONES_1500, "--evaluator", "partition-sum"], 2**1499 - 1),
+        (["bell", "1500", "2", "--args", ONES_1500, "--evaluator", "recurrence"], 2**1499 - 1),
+    ],
+    ids=["recurrence-k=n", "partition-sum-k=1", "partition-sum-k=2", "recurrence-k=2"],
+)
+def test_bell_needs_no_deep_recursion(capsys, argv, want):
+    # B_{n,k}(1, ..., 1) = S(n, k), far past the interpreter's recursion limit
+    assert run_cli(capsys, *argv) == (0, "%d\n" % want, "")
 
 
 def test_bell_rejects_bad_tokens(capsys):
@@ -201,6 +224,9 @@ def test_env_cap(capsys, monkeypatch):
     assert "BERNSTIR_MAX_N" in err
     code, _, _ = run_cli(capsys, "bernoulli", "5", "--method", "oracle")
     assert code == 0
+    monkeypatch.setenv("BERNSTIR_MAX_N", "6")
+    code, _, _ = run_cli(capsys, "bernoulli", "6", "--method", "oracle")
+    assert code == 0
     monkeypatch.setenv("BERNSTIR_MAX_N", "not-a-number")
     code, _, err = run_cli(capsys, "stirling", "--max-n", "3")
     assert code == 64
@@ -214,6 +240,27 @@ def test_usage_errors(capsys):
     assert code == 64
     code, _, err = run_cli(capsys, "no-such-command")
     assert code == 64
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ["bernoulli", "4", "--method", "bogus"],
+        ["bell", "4", "2", "--args", "1/2,1/3,1/4", "--format", "csv"],
+        ["bernoulli", "8", "--format", "json"],
+    ]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "bernstir", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        for argv in calls
+    ]
+    assert in_process[0][0] == 64
+    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
 
 
 def child_env():
