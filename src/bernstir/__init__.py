@@ -28,20 +28,19 @@ from .bernoulli import (
     power_sum_coeffs,
     supports,
 )
-from .exact import binomial, factorial, format_rational, parse_rational, rat
+from .exact import binomial, factorial, format_rational, parse_rational
 from .series import (
     TruncatedSeries,
     bell_egf_coeff,
     bernoulli_series,
     stirling_egf_coeff,
 )
-from .stirling import StirlingDiagonal, StirlingTable, stirling_explicit, stirling_rows
+from .stirling import StirlingTable, stirling_diagonals, stirling_explicit, stirling_rows
 from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
     "Method",
     "PowerSumCoeffs",
-    "StirlingDiagonal",
     "StirlingTable",
     "TruncatedSeries",
     "UnsupportedIndexError",
@@ -68,7 +67,7 @@ __all__ = [
     "identity_suite",
     "parse_rational",
     "power_sum_coeffs",
-    "rat",
+    "stirling_diagonals",
     "stirling_egf_coeff",
     "stirling_explicit",
     "stirling_rows",

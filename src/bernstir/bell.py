@@ -19,17 +19,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import binomial, factorial
-from .stirling import StirlingSource, StirlingTable
+from .stirling import StirlingTable
 
 Args = Sequence[Fraction | int]
+
+
+def _check_indices(n: int, k: int) -> None:
+    if not n >= k >= 1:
+        raise ValueError("B_{n,k} needs n >= k >= 1, got (%d, %d)" % (n, k))
 
 
 def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
     """The integers a_i = q * x_i for i = 1..n-k+1, and q, the lcm of the
     denominators of those x_i.  Arguments past x_{n-k+1} do not enter q.
     """
-    if not n >= k >= 1:
-        raise ValueError("B_{n,k} needs n >= k >= 1, got (%d, %d)" % (n, k))
+    _check_indices(n, k)
     m = n - k + 1
     if len(xs) < m:
         raise ValueError(
@@ -116,8 +120,7 @@ def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:
     Counts the partitions of an n-set into k blocks, every block of size
     at least 2.
     """
-    if not n >= k >= 1:
-        raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
+    _check_indices(n, k)
     return sum(
         (-1) ** i * binomial(n, i) * table.value(n - i, k - i) for i in range(k + 1)
     )
@@ -139,15 +142,14 @@ def reciprocal_args_sum(n: int, k: int, diagonal: Sequence[int]) -> int:
     return total
 
 
-def bell_reciprocal_args(n: int, k: int, table: StirlingSource) -> Fraction:
+def bell_reciprocal_args(n: int, k: int, table: StirlingTable) -> Fraction:
     """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
     = n!/(n+k)! * sum_{i=0}^{k} (-1)^(k-i) C(n+k, k-i) S(n+i, i),
 
     which is n!/(n+k)! times `reciprocal_args_sum`.  Reads only the diagonal
     S(n+i, i), 0 <= i <= k.
     """
-    if not n >= k >= 1:
-        raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
+    _check_indices(n, k)
     diagonal = [table.value(n + i, i) for i in range(k + 1)]
     return Fraction(factorial(n), factorial(n + k)) * reciprocal_args_sum(n, k, diagonal)
 
@@ -162,8 +164,7 @@ def bell_scaling_identity_lhs_rhs(
     where ``xs`` supplies x_2..x_{n+1}.  Both sides go through the
     partition-sum evaluator; for a correct build they are always equal.
     """
-    if not n >= k >= 1:
-        raise ValueError("needs n >= k >= 1, got (%d, %d)" % (n, k))
+    _check_indices(n, k)
     vals = tuple(Fraction(x) for x in xs)
     if len(vals) < n:
         raise ValueError(

@@ -1,7 +1,9 @@
 """Bernoulli numbers by six independent published formulas plus the series
 oracle.  ``ROUTES`` is the one place that says what each method is: its
-domain, the Stirling rows it needs, how to call it, and whether it is a
-known discrepancy; ``bernoulli`` dispatches through it.
+domain, the Stirling cells it reads, how to call it, and whether it is a
+known discrepancy; ``bernoulli`` dispatches through it.  The Stirling
+routes read plain integer sequences, which ``stirling_cells`` streams in
+step with n, so no caller holds the whole triangle.
 
 All methods agree exactly with the oracle, with one deliberate exception:
 the "alternating" double-sum formula is implemented verbatim from its
@@ -12,16 +14,18 @@ discrepancy instead of masking it.
 
 from __future__ import annotations
 
+import collections
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bell import reciprocal_args_sum
 from .exact import binomial, factorial
 from .series import bernoulli_series
-from .stirling import StirlingDiagonal, StirlingSource, StirlingTable
+from .stirling import stirling_diagonals, stirling_rows
 
 
 class Method(enum.Enum):
@@ -37,39 +41,43 @@ class Method(enum.Enum):
     THEOREM = "theorem"
 
 
+class Reads(enum.Enum):
+    """The Stirling cells a route reads at index n."""
+
+    DIAGONAL = "diagonal"  # S(n+i, i) for i = 0..n
+    ROWS = "rows"  # rows n and n+1 of the triangle
+
+
+Cells = dict[Reads, Any]  # one item of stirling_cells: the cells per spec
+
+
 @dataclass(frozen=True)
 class Route:
     """One method: B_n is defined for n >= `first` (even n only when
-    `even_only`), needs Stirling rows up to `rows(n)` (None: no table), and
-    is `compute(n, table)`.  A `diagonal` route reads only S(n+i, i) for
-    0 <= i <= n, so on its own it needs just StirlingDiagonal(n)."""
+    `even_only`), reads the Stirling cells `reads` (None: no Stirling
+    numbers), and is `compute(n, cells)` on those cells."""
 
     first: int
     even_only: bool
-    rows: Callable[[int], int] | None
-    compute: Callable[[int, StirlingSource | None], Fraction]
+    reads: Reads | None
+    compute: Callable[[int, Any], Fraction]
     known_discrepancy: bool = False
-    diagonal: bool = False
 
 
 # The adapters name each route function at call time rather than holding it,
 # so a wrapper installed on the module attribute sees dispatched calls too.
 ROUTES: dict[Method, Route] = {
     Method.ALTERNATING: Route(
-        2, True, None, lambda n, t: bernoulli_alternating(n // 2), known_discrepancy=True
+        2, True, None, lambda n, c: bernoulli_alternating(n // 2), known_discrepancy=True
     ),
-    Method.BELL: Route(
-        1, False, lambda n: 2 * n, lambda n, t: bernoulli_bell(n, t), diagonal=True
-    ),
+    Method.BELL: Route(1, False, Reads.DIAGONAL, lambda n, c: bernoulli_bell(n, c)),
     Method.DOUBLE_STIRLING: Route(
-        2, True, lambda n: n + 1, lambda n, t: bernoulli_double_stirling(n // 2, t)
+        2, True, Reads.ROWS, lambda n, c: bernoulli_double_stirling(n // 2, c)
     ),
-    Method.GUO_QI: Route(2, True, None, lambda n, t: bernoulli_guo_qi(n // 2)),
-    Method.LOGAN: Route(1, False, lambda n: n, lambda n, t: bernoulli_logan(n, t)),
-    Method.ORACLE: Route(0, False, None, lambda n, t: bernoulli_oracle(n)),
-    Method.THEOREM: Route(
-        0, False, lambda n: 2 * n, lambda n, t: bernoulli_theorem(n, t), diagonal=True
-    ),
+    Method.GUO_QI: Route(2, True, None, lambda n, c: bernoulli_guo_qi(n // 2)),
+    Method.LOGAN: Route(1, False, Reads.ROWS, lambda n, c: bernoulli_logan(n, c[0])),
+    Method.ORACLE: Route(0, False, None, lambda n, c: bernoulli_oracle(n)),
+    Method.THEOREM: Route(0, False, Reads.DIAGONAL, lambda n, c: bernoulli_theorem(n, c)),
 }
 
 
@@ -109,8 +117,14 @@ def bernoulli_oracle(n: int) -> Fraction:
     return bernoulli_series(n)[n]
 
 
-def bernoulli_theorem(n: int, table: StirlingSource) -> Fraction:
-    """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i).
+def _check_cells(cells: Sequence[int], length: int) -> None:
+    if len(cells) < length:
+        raise ValueError("needs %d Stirling cells, got %d" % (length, len(cells)))
+
+
+def bernoulli_theorem(n: int, diagonal: Sequence[int]) -> Fraction:
+    """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i),
+    where diagonal[i] holds S(n+i, i) for 0 <= i <= n.
 
     Summed in integers over the one denominator P = (2n)!/n!.  The weight
     C(n+1, i+1)/C(n+i, i) is C(n+1, i+1) i! n!/(n+i)!, so times P it is the
@@ -119,30 +133,30 @@ def bernoulli_theorem(n: int, table: StirlingSource) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
+    _check_cells(diagonal, n + 1)
     denom = factorial(2 * n) // factorial(n)
     w = (n + 1) * denom  # w_0
     total = 0
     for i in range(n + 1):
-        term = w // (i + 1) * table.value(n + i, i)
+        term = w // (i + 1) * diagonal[i]
         total += -term if i & 1 else term
         w = w * (n - i) // (n + i + 1)
     return Fraction(total, denom)
 
 
-def bernoulli_bell(n: int, table: StirlingSource | None = None) -> Fraction:
-    """B_n = sum_{k=1}^{n} (-1)^k k! B_{n,k}(1/2, 1/3, ..., 1/(n-k+2)).
+def bernoulli_bell(n: int, diagonal: Sequence[int]) -> Fraction:
+    """B_n = sum_{k=1}^{n} (-1)^k k! B_{n,k}(1/2, 1/3, ..., 1/(n-k+2)),
+    where diagonal[i] holds S(n+i, i) for 0 <= i <= n.
 
     Each Bell value is n!/(n+k)! T_k by its closed form, where the integer
-    T_k (`reciprocal_args_sum`) reads only the Stirling diagonal S(n+i, i).
-    That diagonal is read once, and built on demand.  Summed in integers
-    over the one denominator (2n)!/n!, the k-th term is u_k T_k with
-    u_k = k! (2n)!/(n+k)!, and u_{k+1} = u_k (k+1)/(n+k+1) exactly.
+    T_k (`reciprocal_args_sum`) reads only that diagonal.  Summed in
+    integers over the one denominator (2n)!/n!, the k-th term is u_k T_k
+    with u_k = k! (2n)!/(n+k)!, and u_{k+1} = u_k (k+1)/(n+k+1) exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    if table is None:
-        table = StirlingDiagonal(n)
-    diagonal = [table.value(n + i, i) for i in range(n + 1)]
+    _check_cells(diagonal, n + 1)
+    diagonal = diagonal[: n + 1]  # each cell read once; the T_k index it n^2 times
     denom = factorial(2 * n) // factorial(n)
     u = denom // (n + 1)  # u_1
     total = 0
@@ -153,20 +167,22 @@ def bernoulli_bell(n: int, table: StirlingSource | None = None) -> Fraction:
     return Fraction(total, denom)
 
 
-def bernoulli_logan(n: int, table: StirlingTable) -> Fraction:
-    """B_n = sum_{k=1}^{n} (-1)^k * k!/(k+1) * S(n, k).
+def bernoulli_logan(n: int, row: Sequence[int]) -> Fraction:
+    """B_n = sum_{k=1}^{n} (-1)^k * k!/(k+1) * S(n, k), where row[k] holds
+    S(n, k) for 0 <= k <= n.
 
     Summed in integers over the one denominator L = lcm(1, ..., n+1), where
     the weight k!/(k+1) becomes k! L/(k+1).
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
+    _check_cells(row, n + 1)
     lcm = math.lcm(*range(1, n + 2))
     scaled = lcm  # k! L
     total = 0
     for k in range(1, n + 1):
         scaled *= k
-        term = scaled // (k + 1) * table.value(n, k)
+        term = scaled // (k + 1) * row[k]
         total += -term if k & 1 else term
     return Fraction(total, lcm)
 
@@ -247,9 +263,10 @@ def bernoulli_guo_qi(k: int) -> Fraction:
     return Fraction((n - 1) * (q // head) - n * total * (q // common), q)
 
 
-def bernoulli_double_stirling(k: int, table: StirlingTable) -> Fraction:
+def bernoulli_double_stirling(k: int, rows: Sequence[Sequence[int]]) -> Fraction:
     """B_{2k} = 1 + sum_{m=1}^{2k-1} S(2k+1, m+1) S(2k, 2k-m) / C(2k, m)
-              - 2k/(2k+1) * sum_{m=1}^{2k} S(2k, m) S(2k+1, 2k-m+1) / C(2k, m-1).
+              - 2k/(2k+1) * sum_{m=1}^{2k} S(2k, m) S(2k+1, 2k-m+1) / C(2k, m-1),
+    where `rows` holds the rows (S(2k, 0..2k), S(2k+1, 0..2k+1)).
 
     With n = 2k, both sums are taken in integers over the one denominator
     D = lcm(1, ..., n+1)/(n+1), which is the lcm of every C(n, m), so
@@ -258,6 +275,9 @@ def bernoulli_double_stirling(k: int, table: StirlingTable) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     n = 2 * k
+    row, next_row = rows
+    _check_cells(row, n + 1)
+    _check_cells(next_row, n + 2)
     lcm = math.lcm(*range(1, n + 2))
     d = lcm // (n + 1)
     scaled = []  # D / C(n, m) for m = 0..n
@@ -265,14 +285,8 @@ def bernoulli_double_stirling(k: int, table: StirlingTable) -> Fraction:
     for m in range(n + 1):
         scaled.append(d // c)
         c = c * (n - m) // (m + 1)
-    first = sum(
-        table.value(n + 1, m + 1) * table.value(n, n - m) * scaled[m]
-        for m in range(1, n)
-    )
-    second = sum(
-        table.value(n, m) * table.value(n + 1, n - m + 1) * scaled[m - 1]
-        for m in range(1, n + 1)
-    )
+    first = sum(next_row[m + 1] * row[n - m] * scaled[m] for m in range(1, n))
+    second = sum(row[m] * next_row[n - m + 1] * scaled[m - 1] for m in range(1, n + 1))
     return Fraction(lcm + (n + 1) * first - n * second, lcm)
 
 
@@ -304,16 +318,32 @@ def bernoulli_alternating(k: int) -> Fraction:
     return prefactor * alternating_double_sum(k)
 
 
-def bernoulli(
-    n: int, method: Method | str, table: StirlingTable | None = None
-) -> Fraction:
+def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
+    """Yield, for n = 0..max_n in order, the cells that `methods` read at n:
+    the diagonals of `stirling_diagonals(max_n)` and the consecutive pairs of
+    `stirling_rows(max_n + 1)`, each stream advanced one step per n."""
+    reads = {ROUTES[m].reads for m in methods}
+    streams: dict[Reads, Iterator] = {}
+    if Reads.DIAGONAL in reads:
+        streams[Reads.DIAGONAL] = stirling_diagonals(max_n)
+    if Reads.ROWS in reads:
+        streams[Reads.ROWS] = itertools.pairwise(stirling_rows(max_n + 1))
+    for _ in range(max_n + 1):
+        yield {spec: next(stream) for spec, stream in streams.items()}
+
+
+def cells_at(n: int, methods: Iterable[Method]) -> Cells:
+    """The last item of `stirling_cells(n, methods)`."""
+    return collections.deque(stirling_cells(n, methods), maxlen=1).pop()
+
+
+def bernoulli(n: int, method: Method | str, cells: Cells | None = None) -> Fraction:
     """Compute B_n by the chosen method.
 
     Raises UnsupportedIndexError when the method does not define B_n; the
-    message lists the methods that do.  A StirlingTable may be shared across
-    calls (see `shared_table`); when omitted, the call builds what its route
-    reads: the diagonal S(n+i, i) for a `diagonal` route, else a sufficient
-    table.
+    message lists the methods that do.  `cells` is the item of
+    `stirling_cells` at n for a set of methods that includes this one; when
+    omitted, the call streams the cells its own route reads.
     """
     if not isinstance(method, Method):
         method = Method(method)
@@ -322,13 +352,8 @@ def bernoulli(
     if not supports(method, n):
         raise UnsupportedIndexError(n, method)
     route = ROUTES[method]
-    if table is None and route.rows is not None:
-        table = StirlingDiagonal(n) if route.diagonal else StirlingTable(route.rows(n))
-    return route.compute(n, table)
-
-
-def shared_table(max_n: int, methods: Iterable[Method]) -> StirlingTable:
-    """One StirlingTable that covers every method in `methods` at every
-    index up to `max_n`."""
-    rows = [ROUTES[m].rows(max_n) for m in methods if ROUTES[m].rows]
-    return StirlingTable(max(rows, default=0))
+    if route.reads is None:
+        return route.compute(n, None)
+    if cells is None:
+        cells = cells_at(n, (method,))
+    return route.compute(n, cells[route.reads])

@@ -35,7 +35,7 @@ from .bernoulli import (
     Method,
     UnsupportedIndexError,
     bernoulli,
-    shared_table,
+    cells_at,
     supported_methods,
 )
 from .exact import format_rational, parse_rational
@@ -127,11 +127,11 @@ def cmd_bernoulli(args: argparse.Namespace) -> Output:
     _check_cap(n, "n")
     if args.method == "all":
         defined = supported_methods(n)
-        table = shared_table(n, defined)
+        cells = cells_at(n, defined)
         records = []
         for method in Method:
             if method in defined:
-                value = format_rational(bernoulli(n, method, table=table))
+                value = format_rational(bernoulli(n, method, cells=cells))
             else:
                 value = "unsupported"
             records.append({"n": n, "method": method.value, "value": value})

@@ -35,13 +35,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rat(num: int, den: int = 1) -> Fraction:
-    """The reduced fraction num/den with positive denominator."""
-    if den == 0:
-        raise ValueError("rational with zero denominator: %d/0" % num)
-    return Fraction(num, den)
-
-
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 _ECHO = 40  # characters of rejected input quoted back in the error
 

@@ -1,11 +1,11 @@
 """Stirling numbers of the second kind by two independent routes.
 
-``stirling_rows`` runs the additive recurrence one row at a time and is the
-production path; ``StirlingTable`` keeps all of its rows for repeated
-reads; ``StirlingDiagonal`` holds the one diagonal S(d+k, k) that a
-single-index Bernoulli query reads, in O(d) memory;
-``stirling_explicit`` evaluates the alternating binomial sum directly and
-serves as the cross-check.
+The additive recurrence is the production path, run as two streams:
+``stirling_rows`` yields the triangle one row at a time, and
+``stirling_diagonals`` yields the diagonals S(d+k, k) one column sweep at a
+time; each keeps only its latest item.  ``StirlingTable`` keeps every row
+for random access.  ``stirling_explicit`` evaluates the alternating
+binomial sum directly and serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -36,6 +36,23 @@ def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
+def stirling_diagonals(max_d: int) -> Iterator[tuple[int, ...]]:
+    """Yield the diagonals D_d = (S(d+k, k) for k = 0..max_d), d = 0..max_d.
+
+    The recurrence reads D_d(k) = k*D_{d-1}(k) + D_d(k-1), so one column is
+    swept in place from D_0 = (1, ..., 1) and each pass yields a copy.
+    """
+    if max_d < 0:
+        raise ValueError("max_d must be >= 0, got %d" % max_d)
+    col = [1] * (max_d + 1)
+    yield tuple(col)
+    for _ in range(max_d):
+        col[0] = 0
+        for k in range(1, max_d + 1):
+            col[k] = k * col[k] + col[k - 1]
+        yield tuple(col)
+
+
 class StirlingTable:
     """Triangle of S(n, k) for 0 <= k <= n <= max_n.
 
@@ -64,44 +81,6 @@ class StirlingTable:
         if k > n:
             return 0
         return rows[n][k]
-
-
-class StirlingDiagonal:
-    """The diagonal S(d+k, k) for 0 <= k <= d, read like a StirlingTable.
-
-    Built by a column sweep: with D_j(k) = S(j+k, k), the recurrence reads
-    D_j(k) = k*D_{j-1}(k) + D_j(k-1), so one column of d+1 values is
-    updated in place from D_0 = (1, ..., 1) up to D_d.  Immutable after
-    construction.  `value` raises ValueError for any cell off the diagonal,
-    just as StirlingTable does for rows it lacks.
-    """
-
-    __slots__ = ("_d", "_col")
-
-    def __init__(self, d: int):
-        if d < 0:
-            raise ValueError("d must be >= 0, got %d" % d)
-        col = [1] * (d + 1)
-        for _ in range(d):
-            col[0] = 0
-            for k in range(1, d + 1):
-                col[k] = k * col[k] + col[k - 1]
-        self._d = d
-        self._col = tuple(col)
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("S(n, k) needs n, k >= 0, got (%d, %d)" % (n, k))
-        if n - k != self._d or k > self._d:
-            raise ValueError(
-                "diagonal holds S(%d+k, k) for k <= %d but S(%d, %d) was requested"
-                % (self._d, self._d, n, k)
-            )
-        return self._col[k]
-
-
-# Either holder answers value(n, k) for the cells it covers.
-StirlingSource = StirlingTable | StirlingDiagonal
 
 
 def stirling_explicit(n: int, k: int) -> int:

@@ -25,7 +25,7 @@ from .bell import (
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from .bernoulli import Method, bernoulli, shared_table, supports
+from .bernoulli import Method, bernoulli, stirling_cells, supports
 from .exact import format_rational
 from .series import bell_egf_coeff, bernoulli_series
 from .stirling import StirlingTable
@@ -130,8 +130,9 @@ def cross_verify(
     """Compute B_n for n = 0..max_n by each of `methods` defined at n and
     compare each value exactly against the series oracle.
 
-    The oracle series and one Stirling table are built once and shared; each
-    entry's `elapsed_ns` is its method's cost on them.  Methods named in
+    The oracle series is built once, and the Stirling cells the methods read
+    are streamed in step with n and shared; each entry's `elapsed_ns` is its
+    method's cost on them, without the cost of building them.  Methods named in
     `known_discrepancies` still appear in the report, but their mismatches
     are tallied separately and do not make the run fail.  Entries are sorted
     by ascending n, then method name, so output is deterministic.
@@ -140,12 +141,11 @@ def cross_verify(
         raise ValueError("max_n must be >= 1, got %d" % max_n)
     known = {Method(name).value for name in known_discrepancies}
     chosen = [m for m in Method if m in methods]
-    table = shared_table(max_n, chosen)
     oracle = bernoulli_series(max_n)
     entries: list[ReportEntry] = []
     mismatches: list[tuple[int, str]] = []
     known_seen: list[tuple[int, str]] = []
-    for n in range(max_n + 1):
+    for n, cells in enumerate(stirling_cells(max_n, chosen)):
         expected = oracle[n]
         for method in chosen:
             if not supports(method, n):
@@ -154,7 +154,7 @@ def cross_verify(
             if method is Method.ORACLE:
                 value = expected
             else:
-                value = bernoulli(n, method, table=table)
+                value = bernoulli(n, method, cells=cells)
             elapsed = time.perf_counter_ns() - start
             agrees = value == expected
             entries.append(ReportEntry(n, method.value, value, agrees, elapsed))

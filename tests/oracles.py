@@ -101,38 +101,39 @@ def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
 
 
 # Fraction transcriptions of the Stirling routes, one Fraction per term, as
-# the routes were written before they were summed in integers.  `table` is
-# anything with value(n, k).
+# the routes were written before they were summed in integers.  Each reads
+# the same cells as its route: diagonal[i] = S(n+i, i), row[k] = S(n, k),
+# and rows = (row n, row n+1).
 
 
-def theorem_fraction(n: int, table) -> Fraction:
+def theorem_fraction(n: int, diagonal) -> Fraction:
     total = Fraction(0)
     for i in range(n + 1):
         term = Fraction(comb(n + 1, i + 1), comb(n + i, i))
-        total += (-1) ** i * term * table.value(n + i, i)
+        total += (-1) ** i * term * diagonal[i]
     return total
 
 
-def reciprocal_args_fraction(n: int, k: int, table) -> Fraction:
+def reciprocal_args_fraction(n: int, k: int, diagonal) -> Fraction:
     total = 0
     c = 1  # C(n+k, j)
     for j in range(k + 1):
-        term = c * table.value(n + k - j, k - j)
+        term = c * diagonal[k - j]  # S(n+k-j, k-j)
         total += -term if j & 1 else term
         c = c * (n + k - j) // (j + 1)
     return Fraction(factorial(n), factorial(n + k)) * total
 
 
-def bell_fraction(n: int, table) -> Fraction:
+def bell_fraction(n: int, diagonal) -> Fraction:
     total = Fraction(0)
     for k in range(1, n + 1):
-        total += (-1) ** k * factorial(k) * reciprocal_args_fraction(n, k, table)
+        total += (-1) ** k * factorial(k) * reciprocal_args_fraction(n, k, diagonal)
     return total
 
 
-def logan_fraction(n: int, table) -> Fraction:
+def logan_fraction(n: int, row) -> Fraction:
     return sum(
-        (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
+        (-1) ** k * Fraction(factorial(k), k + 1) * row[k]
         for k in range(1, n + 1)
     )
 
@@ -147,14 +148,15 @@ def guo_qi_fraction(k: int, coeffs: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def double_stirling_fraction(k: int, table) -> Fraction:
+def double_stirling_fraction(k: int, rows) -> Fraction:
     n = 2 * k
+    row, next_row = rows
     first = sum(
-        Fraction(table.value(n + 1, m + 1) * table.value(n, n - m), comb(n, m))
+        Fraction(next_row[m + 1] * row[n - m], comb(n, m))
         for m in range(1, n)
     )
     second = sum(
-        Fraction(table.value(n, m) * table.value(n + 1, n - m + 1), comb(n, m - 1))
+        Fraction(row[m] * next_row[n - m + 1], comb(n, m - 1))
         for m in range(1, n + 1)
     )
     return 1 + first - Fraction(n, n + 1) * second

@@ -15,7 +15,7 @@ from bernstir.bell import (
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from bernstir.bernoulli import Method, bernoulli, bernoulli_alternating, supports
+from bernstir.bernoulli import Method, bernoulli, bernoulli_alternating, stirling_cells, supports
 from bernstir.cli import main
 from bernstir.series import bell_egf_coeff, bernoulli_series, stirling_egf_coeff
 from bernstir.stirling import StirlingTable
@@ -32,17 +32,17 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_formula_agreement_to_40():
     start = time.perf_counter()
     oracle = bernoulli_series(40)
-    table = StirlingTable(80)
+    cells = list(stirling_cells(40, Method))
     bad = []
     for n in range(41):
         for method in (Method.THEOREM, Method.BELL, Method.LOGAN):
             if n == 0 and method is not Method.THEOREM:
                 continue
-            if bernoulli(n, method, table=table) != oracle[n]:
+            if bernoulli(n, method, cells=cells[n]) != oracle[n]:
                 bad.append((n, method.value))
     for n in range(2, 41, 2):
         for method in (Method.GUO_QI, Method.DOUBLE_STIRLING):
-            if bernoulli(n, method, table=table) != oracle[n]:
+            if bernoulli(n, method, cells=cells[n]) != oracle[n]:
                 bad.append((n, method.value))
     elapsed = time.perf_counter() - start
     report(
@@ -150,11 +150,11 @@ def test_criterion_6_generating_function_oracles():
 
 
 def test_criterion_7_odd_indices_vanish():
-    table = StirlingTable(80)
+    cells = list(stirling_cells(39, Method))
     bad = []
     for n in range(3, 40, 2):
         for method in (Method.THEOREM, Method.BELL, Method.LOGAN):
-            if bernoulli(n, method, table=table) != 0:
+            if bernoulli(n, method, cells=cells[n]) != 0:
                 bad.append((n, method.value))
     report(7, not bad, "theorem/bell/logan return exactly 0 for odd n in 3..39")
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bernstir.bernoulli import (
     ROUTES,
     Method,
+    Reads,
     UnsupportedIndexError,
     alternating_double_sum,
     bernoulli,
@@ -16,12 +18,15 @@ from bernstir.bernoulli import (
     bernoulli_logan,
     bernoulli_oracle,
     bernoulli_theorem,
+    cells_at,
     power_sum_coeffs,
+    stirling_cells,
     supported_methods,
     supports,
 )
 from bernstir.series import bernoulli_series
-from bernstir.stirling import StirlingDiagonal, StirlingTable
+from bernstir.stirling import StirlingTable
+from bernstir.verify import cross_verify
 
 from oracles import (
     bell_fraction,
@@ -33,37 +38,52 @@ from oracles import (
 )
 
 
+def diagonal(table, n):
+    """The cells S(n+i, i), 0 <= i <= n, that `table` covers."""
+    return [table.value(n + i, i) for i in range(min(n, table.max_n - n) + 1)]
+
+
+def rows(table, n):
+    """Rows n and n+1 of `table`."""
+    return tuple([table.value(m, k) for k in range(m + 1)] for m in (n, n + 1))
+
+
+def table_cells(table, n):
+    """What stirling_cells yields at n, read from `table` instead."""
+    return {Reads.DIAGONAL: diagonal(table, n), Reads.ROWS: rows(table, n)}
+
+
 @pytest.fixture(scope="module")
 def table():
     return StirlingTable(40)
 
 
 def test_theorem_known_values(table):
-    assert bernoulli_theorem(0, table) == 1
-    assert bernoulli_theorem(1, table) == Fraction(-1, 2)
-    assert bernoulli_theorem(2, table) == Fraction(1, 6)  # 0 - 1 + 7/6
-    assert bernoulli_theorem(3, table) == 0  # -3/2 + 6 - 9/2
+    assert bernoulli_theorem(0, diagonal(table, 0)) == 1
+    assert bernoulli_theorem(1, diagonal(table, 1)) == Fraction(-1, 2)
+    assert bernoulli_theorem(2, diagonal(table, 2)) == Fraction(1, 6)  # 0 - 1 + 7/6
+    assert bernoulli_theorem(3, diagonal(table, 3)) == 0  # -3/2 + 6 - 9/2
 
 
 def test_theorem_table_too_small():
     with pytest.raises(ValueError):
-        bernoulli_theorem(4, StirlingTable(7))
+        bernoulli_theorem(4, diagonal(StirlingTable(7), 4))
 
 
 def test_bell_sum_known_values():
-    assert bernoulli_bell(1) == Fraction(-1, 2)
-    assert bernoulli_bell(2) == Fraction(1, 6)  # -1/3 + 2*(1/4)
-    assert bernoulli_bell(5) == 0
+    assert bernoulli_bell(1, [0, 1]) == Fraction(-1, 2)
+    assert bernoulli_bell(2, [0, 1, 7]) == Fraction(1, 6)  # -1/3 + 2*(1/4)
+    assert bernoulli_bell(5, cells_at(5, [Method.BELL])[Reads.DIAGONAL]) == 0
     with pytest.raises(ValueError):
-        bernoulli_bell(0)
+        bernoulli_bell(0, [1])
 
 
 def test_logan_known_values(table):
-    assert bernoulli_logan(1, table) == Fraction(-1, 2)
-    assert bernoulli_logan(2, table) == Fraction(1, 6)  # -1/2 + 2/3
-    assert bernoulli_logan(4, table) == Fraction(-1, 30)
+    assert bernoulli_logan(1, rows(table, 1)[0]) == Fraction(-1, 2)
+    assert bernoulli_logan(2, rows(table, 2)[0]) == Fraction(1, 6)  # -1/2 + 2/3
+    assert bernoulli_logan(4, rows(table, 4)[0]) == Fraction(-1, 30)
     with pytest.raises(ValueError):
-        bernoulli_logan(5, StirlingTable(4))
+        bernoulli_logan(5, [0, 1, 15, 25, 10])  # S(5, 5) missing
 
 
 def test_power_sum_known_coefficients():
@@ -103,11 +123,11 @@ def test_guo_qi_known_values():
 
 def test_double_stirling_known_values(table):
     # k=1 by hand: 1 + 3/2 - (2/3)*(3 + 1/2)
-    assert bernoulli_double_stirling(1, table) == Fraction(1, 6)
-    assert bernoulli_double_stirling(2, table) == Fraction(-1, 30)
-    assert bernoulli_double_stirling(5, table) == Fraction(5, 66)
+    assert bernoulli_double_stirling(1, rows(table, 2)) == Fraction(1, 6)
+    assert bernoulli_double_stirling(2, rows(table, 4)) == Fraction(-1, 30)
+    assert bernoulli_double_stirling(5, rows(table, 10)) == Fraction(5, 66)
     with pytest.raises(ValueError):
-        bernoulli_double_stirling(4, StirlingTable(8))
+        bernoulli_double_stirling(4, rows(StirlingTable(8), 7))  # a table to 8 lacks row 9
 
 
 def test_alternating_evaluates_verbatim():
@@ -126,7 +146,8 @@ def test_dispatcher_values(table):
     assert bernoulli(12, Method.THEOREM) == Fraction(-691, 2730)
     assert bernoulli(0, "oracle") == 1
     assert bernoulli(7, Method.LOGAN) == 0
-    assert bernoulli(40, Method.THEOREM, table=StirlingTable(80)) == bernoulli_series(40)[40]
+    cells = table_cells(StirlingTable(80), 40)
+    assert bernoulli(40, Method.THEOREM, cells=cells) == bernoulli_series(40)[40]
 
 
 def test_dispatcher_rejects_unsupported_index():
@@ -158,12 +179,11 @@ def test_supports_and_domains():
 def test_methods_agree_at_small_scale():
     # full-depth agreement to n=40 lives in the acceptance suite
     series = bernoulli_series(16)
-    table = StirlingTable(32)
-    for n in range(17):
+    for n, cells in enumerate(stirling_cells(16, Method)):
         for method in supported_methods(n):
             if method is Method.ALTERNATING:
                 continue
-            assert bernoulli(n, method, table=table) == series[n], (n, method)
+            assert bernoulli(n, method, cells=cells) == series[n], (n, method)
 
 
 def test_even_only_methods_never_return_zero_for_odd():
@@ -181,7 +201,7 @@ def test_diagonal_routes_without_table_match_full_table(method):
         if not supports(method, n):
             continue
         value = bernoulli(n, method)
-        assert value == bernoulli(n, method, table=StirlingTable(2 * n)), n
+        assert value == bernoulli(n, method, cells=table_cells(StirlingTable(2 * n + 1), n)), n
         assert value == series[n], n
 
 
@@ -196,22 +216,48 @@ def test_theorem_query_memory_is_linear():
     assert peak < 2 * 1024 * 1024
 
 
+@pytest.mark.parametrize("method", [Method.LOGAN, Method.DOUBLE_STIRLING])
+def test_row_query_memory_is_linear(method):
+    # the full StirlingTable(400) alone takes about 12 MB
+    tracemalloc.start()
+    try:
+        bernoulli(400, method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+def test_cross_verify_memory_streams_the_cells():
+    # a shared StirlingTable(240) alone takes about 2.5 MB
+    tracemalloc.start()
+    try:
+        report = cross_verify(120, (), (Method.THEOREM, Method.LOGAN, Method.DOUBLE_STIRLING))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1024 * 1024
+
+
 # Each integer kernel against its Fraction transcription, both called as
-# f(n, table); the even-only routes take k = n/2.
+# f(n, cells) on the cells of their route; the even-only routes take k = n/2.
 INTEGER_KERNELS = {
     Method.THEOREM: (bernoulli_theorem, theorem_fraction),
     Method.BELL: (bernoulli_bell, bell_fraction),
-    Method.LOGAN: (bernoulli_logan, logan_fraction),
+    Method.LOGAN: (
+        lambda n, c: bernoulli_logan(n, c[0]),
+        lambda n, c: logan_fraction(n, c[0]),
+    ),
     Method.DOUBLE_STIRLING: (
-        lambda n, t: bernoulli_double_stirling(n // 2, t),
-        lambda n, t: double_stirling_fraction(n // 2, t),
+        lambda n, c: bernoulli_double_stirling(n // 2, c),
+        lambda n, c: double_stirling_fraction(n // 2, c),
     ),
     Method.GUO_QI: (
-        lambda n, t: bernoulli_guo_qi(n // 2),
-        lambda n, t: guo_qi_fraction(n // 2, power_sum_coeffs(n - 1).coeffs),
+        lambda n, c: bernoulli_guo_qi(n // 2),
+        lambda n, c: guo_qi_fraction(n // 2, power_sum_coeffs(n - 1).coeffs),
     ),
 }
-DIAGONAL_KERNELS = (Method.THEOREM, Method.BELL)
 
 
 @pytest.fixture(scope="module")
@@ -222,20 +268,19 @@ def table_300():
 @pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
 def test_integer_kernel_equals_fraction_sum(method, table_300):
     kernel, fraction_sum = INTEGER_KERNELS[method]
-    for n in range(151):
+    reads = ROUTES[method].reads
+    for n, cells in enumerate(stirling_cells(150, [method])):
         if not supports(method, n):
             continue
-        expected = fraction_sum(n, table_300)
-        assert kernel(n, table_300) == expected, n
-        if method in DIAGONAL_KERNELS:
-            assert kernel(n, StirlingDiagonal(n)) == expected, n
+        expected = fraction_sum(n, table_cells(table_300, n).get(reads))
+        assert kernel(n, cells.get(reads)) == expected, n
 
 
 @pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
 def test_integer_kernel_equals_fraction_sum_at_400(method):
     kernel, fraction_sum = INTEGER_KERNELS[method]
-    holder = StirlingDiagonal(400) if method in DIAGONAL_KERNELS else StirlingTable(401)
-    assert kernel(400, holder) == fraction_sum(400, holder)
+    cells = cells_at(400, [method]).get(ROUTES[method].reads)
+    assert kernel(400, cells) == fraction_sum(400, cells)
 
 
 def test_integer_kernels_at_first_index():
@@ -245,23 +290,31 @@ def test_integer_kernels_at_first_index():
     table = StirlingTable(6)
     for method, (kernel, fraction_sum) in INTEGER_KERNELS.items():
         n = ROUTES[method].first
+        reads = ROUTES[method].reads
         expected = bernoulli_series(n)[n]
-        assert kernel(n, table) == fraction_sum(n, table) == expected, method
-        if method in DIAGONAL_KERNELS:
-            assert kernel(n, StirlingDiagonal(n)) == expected, method
+        streamed = cells_at(n, [method]).get(reads)
+        from_table = table_cells(table, n).get(reads)
+        assert kernel(n, streamed) == fraction_sum(n, from_table) == expected, method
+
+
+class CountingSequence(Sequence):
+    """A sequence that counts the cells read from it."""
+
+    def __init__(self, cells):
+        self.cells = cells
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __getitem__(self, index):
+        got = self.cells[index]
+        self.reads += len(got) if isinstance(index, slice) else 1
+        return got
 
 
 def test_bell_reads_each_diagonal_cell_once():
-    class CountingDiagonal:
-        def __init__(self, d):
-            self.inner = StirlingDiagonal(d)
-            self.reads = 0
-
-        def value(self, n, k):
-            self.reads += 1
-            return self.inner.value(n, k)
-
     for n in (1, 2, 7, 30):
-        diagonal = CountingDiagonal(n)
+        diagonal = CountingSequence(cells_at(n, [Method.BELL])[Reads.DIAGONAL])
         assert bernoulli_bell(n, diagonal) == bernoulli_series(n)[n]
         assert diagonal.reads <= n + 1, n

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernstir.exact import binomial, factorial, format_rational, parse_rational, rat
+from bernstir.exact import binomial, factorial, format_rational, parse_rational
 
 from oracles import iterated_factorial, pascal_triangle
 
@@ -44,19 +44,6 @@ def test_binomial_pascal_identity():
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
         binomial(-2, 0)
-
-
-def test_rat_canonical_forms():
-    assert rat(2, 4) == Fraction(1, 2)
-    assert rat(3, -6) == Fraction(-1, 2)
-    assert rat(3, -6).denominator == 2
-    assert rat(0, 7) == Fraction(0, 1)
-    assert rat(5) == Fraction(5)
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ValueError):
-        rat(1, 0)
 
 
 @given(a=rationals, b=rationals)

@@ -2,8 +2,8 @@ import pytest
 
 from bernstir.series import stirling_egf_coeff
 from bernstir.stirling import (
-    StirlingDiagonal,
     StirlingTable,
+    stirling_diagonals,
     stirling_explicit,
     stirling_rows,
 )
@@ -102,19 +102,9 @@ def test_rows_are_the_table_rows():
 
 def test_diagonal_matches_table_to_60():
     table = StirlingTable(120)
-    for d in range(61):
-        diagonal = StirlingDiagonal(d)
-        for k in range(d + 1):
-            assert diagonal.value(d + k, k) == table.value(d + k, k), (d, k)
-
-
-def test_diagonal_rejects_cells_off_it():
-    diagonal = StirlingDiagonal(5)
-    for n, k in ((6, 0), (6, 2), (8, 2), (10, 4), (11, 6), (12, 6), (3, 3), (-1, 0), (5, -1)):
-        with pytest.raises(ValueError):
-            diagonal.value(n, k)
-    assert diagonal.value(5, 0) == 0
-    assert diagonal.value(6, 1) == 1
-    assert diagonal.value(7, 2) == 63
+    diagonals = list(stirling_diagonals(60))
+    assert len(diagonals) == 61
+    for d, diagonal in enumerate(diagonals):
+        assert diagonal == tuple(table.value(d + k, k) for k in range(61)), d
     with pytest.raises(ValueError):
-        StirlingDiagonal(-1)
+        next(stirling_diagonals(-1))
