@@ -5,6 +5,11 @@ package: Bernoulli numbers fall out of one exact long division, Stirling
 numbers out of powers of e^t - 1, and Bell polynomial values out of powers
 of a general exponential-coefficient series.
 
+Each coefficient of a product or a reciprocal is one sum of products of
+coefficients; `_dot` adds those products as integers over the running lcm
+of their denominators and reduces once, so the sums never normalise a
+Fraction term by term.
+
 Orders are explicit and carried by the value; mixing orders raises instead
 of truncating silently, because oracle code must fail loudly.
 """
@@ -12,9 +17,26 @@ of truncating silently, because oracle code must fail loudly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .exact import factorial
+
+
+def _dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
+    """sum_i x_i y_i over zip(xs, ys), as one reduced Fraction.
+
+    The numerators of the nonzero products are added as integers over the
+    lcm of the denominators seen so far; zero terms are skipped.
+    """
+    total, common = 0, 1  # the sum so far is total/common
+    for x, y in zip(xs, ys):
+        if x and y:
+            den = x.denominator * y.denominator
+            g = gcd(common, den)
+            total = total * (den // g) + x.numerator * y.numerator * (common // g)
+            common *= den // g
+    return Fraction(total, common)
 
 
 class TruncatedSeries:
@@ -76,20 +98,19 @@ class TruncatedSeries:
         return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __mul__(self, other: "TruncatedSeries | Fraction | int") -> "TruncatedSeries":
+        """Scale by a number, or take the Cauchy product truncated at the order.
+
+        (ab)_j = sum_{i=0}^{j} a_i b_{j-i}, each sum taken in integers over
+        one denominator (see `_dot`).
+        """
         if not isinstance(other, TruncatedSeries):
             scale = Fraction(other)
             return TruncatedSeries([c * scale for c in self._coeffs])
         self._matched(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j in range(n - i + 1):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
+        a, b = self._coeffs, other._coeffs
+        return TruncatedSeries(
+            [_dot(a[: j + 1], b[j::-1]) for j in range(self.order + 1)]
+        )
 
     __rmul__ = __mul__
 
@@ -104,7 +125,8 @@ class TruncatedSeries:
     def reciprocal(self) -> "TruncatedSeries":
         """b with self * b = 1 mod t^(order+1); needs a nonzero constant term.
 
-        b_0 = 1/c_0 and b_j = -(1/c_0) sum_{i=1}^{j} c_i b_{j-i}.
+        b_0 = 1/c_0 and b_j = -(1/c_0) sum_{i=1}^{j} c_i b_{j-i}, where
+        each sum is taken in integers over one denominator (see `_dot`).
         """
         c0 = self._coeffs[0]
         if c0 == 0:
@@ -112,12 +134,7 @@ class TruncatedSeries:
         inv0 = 1 / c0
         out = [inv0]
         for j in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, j + 1):
-                ci = self._coeffs[i]
-                if ci:
-                    acc += ci * out[j - i]
-            out.append(-inv0 * acc)
+            out.append(-inv0 * _dot(self._coeffs[1 : j + 1], out[j - 1 :: -1]))
         return TruncatedSeries(out)
 
 

@@ -220,3 +220,42 @@ def bell_recurrence_fraction(n: int, k: int, xs: Sequence[Fraction | int]) -> Fr
         return cached
 
     return rec(n, k)
+
+
+# Fraction transcriptions of `TruncatedSeries.__mul__` and `reciprocal` on
+# coefficient lists, one Fraction per term, as they were written before each
+# coefficient was summed in integers over one denominator.
+
+
+def series_mul_fraction(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(n - i + 1):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def series_reciprocal_fraction(c: Sequence[Fraction]) -> list[Fraction]:
+    inv0 = 1 / Fraction(c[0])
+    out = [inv0]
+    for j in range(1, len(c)):
+        acc = Fraction(0)
+        for i in range(1, j + 1):
+            ci = c[i]
+            if ci:
+                acc += ci * out[j - i]
+        out.append(-inv0 * acc)
+    return out
+
+
+def bernoulli_long_division_fraction(order: int) -> list[Fraction]:
+    """B_0..B_order from the reciprocal of sum_j t^j/(j+1)!."""
+    inv = series_reciprocal_fraction(
+        [Fraction(1, factorial(j + 1)) for j in range(order + 1)]
+    )
+    return [inv[j] * factorial(j) for j in range(order + 1)]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstir.bell import bell_partition_sum
@@ -15,7 +15,15 @@ from bernstir.series import (
 )
 from bernstir.stirling import StirlingTable
 
+from oracles import (
+    bernoulli_long_division_fraction,
+    series_mul_fraction,
+    series_reciprocal_fraction,
+)
+
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# zero coefficients are the ones the sums skip, so draw them often
+coefficients = st.one_of(st.just(Fraction(0)), small_fractions)
 
 
 def S(*coeffs, order=None):
@@ -77,6 +85,74 @@ def test_reciprocal_needs_unit():
 def test_reciprocal_round_trip(coeffs):
     s = TruncatedSeries(coeffs)
     assert s * s.reciprocal() == one(s.order)
+
+
+same_length_pairs = st.integers(1, 17).flatmap(
+    lambda size: st.tuples(
+        st.lists(coefficients, min_size=size, max_size=size),
+        st.lists(coefficients, min_size=size, max_size=size),
+    )
+)
+
+
+@settings(max_examples=150)
+@example(
+    pair=(
+        [Fraction(3, 7), 0, Fraction(-2), 0, Fraction(1, 9)],
+        [Fraction(-5, 8), Fraction(4, 9), 0, 0, Fraction(-7)],
+    )
+)
+@given(pair=same_length_pairs)
+def test_mul_equals_fraction_transcription(pair):
+    a, b = pair
+    product = TruncatedSeries(a) * TruncatedSeries(b)
+    assert list(product.coeffs) == series_mul_fraction(a, b)
+
+
+@settings(max_examples=150)
+@example(coeffs=[Fraction(3, 7), 0, Fraction(-2), 0, Fraction(1, 9)])
+@given(
+    coeffs=st.lists(coefficients, min_size=1, max_size=17).filter(
+        lambda cs: cs[0] != 0
+    )
+)
+def test_reciprocal_equals_fraction_transcription(coeffs):
+    inverse = TruncatedSeries(coeffs).reciprocal()
+    assert list(inverse.coeffs) == series_reciprocal_fraction(coeffs)
+
+
+def test_bernoulli_series_equals_fraction_long_division():
+    reference = bernoulli_long_division_fraction(200)
+    for n in range(61):
+        assert bernoulli_series(n) == reference[: n + 1], n
+    assert bernoulli_series(200) == reference
+
+
+def _primes_upto(limit):
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(limit + 1) if sieve[p]]
+
+
+def test_bernoulli_series_structure_to_300():
+    # checks that read neither the series code nor any route
+    series = bernoulli_series(300)
+    primes = _primes_upto(301)
+    assert series[0] == 1
+    assert series[1] == Fraction(-1, 2)
+    for n in range(3, 301, 2):
+        assert series[n] == 0, n
+    for n in range(2, 301, 2):
+        value = series[n]
+        assert (value > 0) == ((n // 2) % 2 == 1), n  # sign (-1)^(n/2+1)
+        denominator = 1
+        for p in primes:
+            if n % (p - 1) == 0:
+                denominator *= p
+        assert value.denominator == denominator, n  # von Staudt-Clausen
 
 
 def test_power_and_constructor_contracts():
