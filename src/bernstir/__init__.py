@@ -35,7 +35,13 @@ from .series import (
     bernoulli_series,
     stirling_egf_coeff,
 )
-from .stirling import StirlingTable, stirling_diagonals, stirling_explicit, stirling_rows
+from .stirling import (
+    StirlingTable,
+    associated_diagonals,
+    stirling_diagonals,
+    stirling_explicit,
+    stirling_rows,
+)
 from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
@@ -45,6 +51,7 @@ __all__ = [
     "TruncatedSeries",
     "UnsupportedIndexError",
     "VerificationReport",
+    "associated_diagonals",
     "bell_egf_coeff",
     "bell_partition_sum",
     "bell_reciprocal_args",

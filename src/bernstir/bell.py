@@ -118,7 +118,8 @@ def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:
     """B_{n,k}(0, 1, ..., 1) = sum_{i=0}^{k} (-1)^i C(n, i) S(n-i, k-i).
 
     Counts the partitions of an n-set into k blocks, every block of size
-    at least 2.
+    at least 2: the 2-associated number S_2(n, k) that
+    `stirling.associated_diagonals` streams by its own recurrence.
     """
     _check_indices(n, k)
     return sum(

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .bell import reciprocal_args_sum
-from .exact import binomial, factorial
+from .exact import factorial
 from .series import bernoulli_series
-from .stirling import stirling_diagonals, stirling_rows
+from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
 
 
 class Method(enum.Enum):
@@ -42,10 +41,13 @@ class Method(enum.Enum):
 
 
 class Reads(enum.Enum):
-    """The Stirling cells a route reads at index n."""
+    """The Stirling cells a route reads at index n: a diagonal of S, two
+    rows of S, or a diagonal of the 2-associated numbers S_2 (partitions
+    into blocks of size at least 2)."""
 
     DIAGONAL = "diagonal"  # S(n+i, i) for i = 0..n
     ROWS = "rows"  # rows n and n+1 of the triangle
+    ASSOCIATED = "associated"  # S_2(n+k, k) for k = 0..n
 
 
 Cells = dict[Reads, Any]  # one item of stirling_cells: the cells per spec
@@ -70,7 +72,7 @@ ROUTES: dict[Method, Route] = {
     Method.ALTERNATING: Route(
         2, True, None, lambda n, c: bernoulli_alternating(n // 2), known_discrepancy=True
     ),
-    Method.BELL: Route(1, False, Reads.DIAGONAL, lambda n, c: bernoulli_bell(n, c)),
+    Method.BELL: Route(1, False, Reads.ASSOCIATED, lambda n, c: bernoulli_bell(n, c)),
     Method.DOUBLE_STIRLING: Route(
         2, True, Reads.ROWS, lambda n, c: bernoulli_double_stirling(n // 2, c)
     ),
@@ -144,24 +146,25 @@ def bernoulli_theorem(n: int, diagonal: Sequence[int]) -> Fraction:
     return Fraction(total, denom)
 
 
-def bernoulli_bell(n: int, diagonal: Sequence[int]) -> Fraction:
+def bernoulli_bell(n: int, associated: Sequence[int]) -> Fraction:
     """B_n = sum_{k=1}^{n} (-1)^k k! B_{n,k}(1/2, 1/3, ..., 1/(n-k+2)),
-    where diagonal[i] holds S(n+i, i) for 0 <= i <= n.
+    where associated[k] holds S_2(n+k, k) for 0 <= k <= n.
 
-    Each Bell value is n!/(n+k)! T_k by its closed form, where the integer
-    T_k (`reciprocal_args_sum`) reads only that diagonal.  Summed in
-    integers over the one denominator (2n)!/n!, the k-th term is u_k T_k
-    with u_k = k! (2n)!/(n+k)!, and u_{k+1} = u_k (k+1)/(n+k+1) exactly.
+    The scaling identity at x = 1 gives each Bell value as
+    n!/(n+k)! B_{n+k,k}(0, 1, ..., 1) = n!/(n+k)! S_2(n+k, k), the count of
+    partitions of an (n+k)-set into k blocks of size at least 2.  Summed in
+    integers over the one denominator (2n)!/n!, the k-th term is
+    u_k S_2(n+k, k) with u_k = k! (2n)!/(n+k)!, and
+    u_{k+1} = u_k (k+1)/(n+k+1) exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    _check_cells(diagonal, n + 1)
-    diagonal = diagonal[: n + 1]  # each cell read once; the T_k index it n^2 times
+    _check_cells(associated, n + 1)
     denom = factorial(2 * n) // factorial(n)
     u = denom // (n + 1)  # u_1
     total = 0
     for k in range(1, n + 1):
-        term = u * reciprocal_args_sum(n, k, diagonal)
+        term = u * associated[k]
         total += -term if k & 1 else term
         u = u * (k + 1) // (n + k + 1)
     return Fraction(total, denom)
@@ -291,14 +294,27 @@ def bernoulli_double_stirling(k: int, rows: Sequence[Sequence[int]]) -> Fraction
 
 
 def alternating_double_sum(k: int) -> int:
-    """sum_{i=0}^{k-1} sum_{l=0}^{k-i-1} (-1)^(i+l) C(2k, l) (k-i-l)^(2k-1)."""
+    """sum_{i=0}^{k-1} sum_{l=0}^{k-i-1} (-1)^(i+l) C(2k, l) (k-i-l)^(2k-1).
+
+    Every term is added, over the same i and l in the same order; only the
+    powers m^(2k-1), m = 0..k, and the binomials C(2k, l), l = 0..k-1, are
+    each computed once.  C(2k, l) is updated step by step, and each division
+    is exact.
+    """
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
-    return sum(
-        (-1) ** (i + l) * binomial(2 * k, l) * (k - i - l) ** (2 * k - 1)
-        for i in range(k)
-        for l in range(k - i)
-    )
+    powers = [m ** (2 * k - 1) for m in range(k + 1)]
+    binomials = []
+    c = 1  # C(2k, l)
+    for l in range(k):
+        binomials.append(c)
+        c = c * (2 * k - l) // (l + 1)
+    total = 0
+    for i in range(k):
+        for l in range(k - i):
+            term = binomials[l] * powers[k - i - l]
+            total += -term if (i + l) & 1 else term
+    return total
 
 
 def bernoulli_alternating(k: int) -> Fraction:
@@ -320,14 +336,17 @@ def bernoulli_alternating(k: int) -> Fraction:
 
 def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
     """Yield, for n = 0..max_n in order, the cells that `methods` read at n:
-    the diagonals of `stirling_diagonals(max_n)` and the consecutive pairs of
-    `stirling_rows(max_n + 1)`, each stream advanced one step per n."""
+    the diagonals of `stirling_diagonals(max_n)`, the consecutive pairs of
+    `stirling_rows(max_n + 1)` and the diagonals of
+    `associated_diagonals(max_n)`, each stream advanced one step per n."""
     reads = {ROUTES[m].reads for m in methods}
     streams: dict[Reads, Iterator] = {}
     if Reads.DIAGONAL in reads:
         streams[Reads.DIAGONAL] = stirling_diagonals(max_n)
     if Reads.ROWS in reads:
         streams[Reads.ROWS] = itertools.pairwise(stirling_rows(max_n + 1))
+    if Reads.ASSOCIATED in reads:
+        streams[Reads.ASSOCIATED] = associated_diagonals(max_n)
     for _ in range(max_n + 1):
         yield {spec: next(stream) for spec, stream in streams.items()}
 

@@ -6,6 +6,10 @@ The additive recurrence is the production path, run as two streams:
 time; each keeps only its latest item.  ``StirlingTable`` keeps every row
 for random access.  ``stirling_explicit`` evaluates the alternating
 binomial sum directly and serves as the cross-check.
+
+``associated_diagonals`` streams the 2-associated numbers S_2(d+k, k), the
+partitions into k blocks of size at least 2, by the same kind of column
+sweep.
 """
 
 from __future__ import annotations
@@ -50,6 +54,30 @@ def stirling_diagonals(max_d: int) -> Iterator[tuple[int, ...]]:
         col[0] = 0
         for k in range(1, max_d + 1):
             col[k] = k * col[k] + col[k - 1]
+        yield tuple(col)
+
+
+def associated_diagonals(max_d: int) -> Iterator[tuple[int, ...]]:
+    """Yield E_d = (S_2(d+k, k) for k = 0..max_d), d = 0..max_d, where
+    S_2(m, k) counts the partitions of an m-set into k blocks, every block
+    of size at least 2 (OEIS A008299; Comtet, Advanced Combinatorics, 1974).
+
+    The last of m = d+k elements either joins one of the k blocks of such a
+    partition of the other m-1, or forms a 2-block with one of them and
+    leaves m-2 elements in k-1 blocks, so
+    E_d(k) = k*E_{d-1}(k) + (d+k-1)*E_{d-1}(k-1).  One column is swept in
+    place with descending k from E_0 = (1, 0, ..., 0), and each pass yields
+    a copy.  E_d(k) = 0 for k > d, so a pass stops at k = d.
+    """
+    if max_d < 0:
+        raise ValueError("max_d must be >= 0, got %d" % max_d)
+    col = [0] * (max_d + 1)
+    col[0] = 1
+    yield tuple(col)
+    for d in range(1, max_d + 1):
+        for k in range(d, 0, -1):
+            col[k] = k * col[k] + (d + k - 1) * col[k - 1]
+        col[0] = 0
         yield tuple(col)
 
 

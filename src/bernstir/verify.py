@@ -4,7 +4,9 @@
 and compares each value against the series oracle by exact rational
 equality.  ``identity_suite`` exercises the Bell-polynomial identities
 (closed forms, rescaling, EGF coefficient extraction) against the
-partition-sum evaluator on canonical and seeded random arguments.
+partition-sum evaluator on canonical and seeded random arguments, and the
+2-associated Stirling stream that the `bell` route reads against its
+closed form.
 
 Mismatches are data, not errors: they land in the report, tallied as
 "unexpected" unless their method is on the caller's known-discrepancy list.
@@ -28,8 +30,9 @@ from .bell import (
 from .bernoulli import Method, bernoulli, stirling_cells, supports
 from .exact import format_rational
 from .series import bell_egf_coeff, bernoulli_series
-from .stirling import StirlingTable
+from .stirling import StirlingTable, associated_diagonals
 
+IDENTITY_ASSOCIATED = "associated"
 IDENTITY_ZERO_ONE = "zero-one"
 IDENTITY_RECIPROCAL = "reciprocal"
 IDENTITY_SCALING = "scaling"
@@ -179,10 +182,12 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
     """Check the Bell identities against the partition-sum evaluator.
 
     For every n >= k >= 1 with n <= max_n, the two closed forms are checked
-    at their fixed arguments, and the rescaling and EGF identities at the
-    canonical all-ones arguments.  On top of that, `trials` random-argument
-    instances of the rescaling and EGF identities are drawn from a generator
-    seeded with `seed`, so identical inputs give byte-identical reports.
+    at their fixed arguments, the rescaling and EGF identities at the
+    canonical all-ones arguments, and the cell S_2(n, k) of
+    `associated_diagonals` against the closed form `bell_zero_one(n, k)`.
+    On top of that, `trials` random-argument instances of the rescaling and
+    EGF identities are drawn from a generator seeded with `seed`, so
+    identical inputs give byte-identical reports.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2, got %d" % max_n)
@@ -223,6 +228,12 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
                     bell_egf_coeff(n, k, ones) == bell_partition_sum(n, k, ones),
                 )
             )
+
+    for d, associated in enumerate(associated_diagonals(max_n)):
+        for k in range(1, max_n - d + 1):
+            n = d + k
+            ok = associated[k] == bell_zero_one(n, k, table)
+            instances.append((IDENTITY_ASSOCIATED, n, ok))
 
     for _ in range(trials):
         n = rng.randint(1, max_n)

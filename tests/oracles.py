@@ -103,7 +103,7 @@ def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
 # Fraction transcriptions of the Stirling routes, one Fraction per term, as
 # the routes were written before they were summed in integers.  Each reads
 # the same cells as its route: diagonal[i] = S(n+i, i), row[k] = S(n, k),
-# and rows = (row n, row n+1).
+# rows = (row n, row n+1) and associated[k] = S_2(n+k, k).
 
 
 def theorem_fraction(n: int, diagonal) -> Fraction:
@@ -114,21 +114,42 @@ def theorem_fraction(n: int, diagonal) -> Fraction:
     return total
 
 
-def reciprocal_args_fraction(n: int, k: int, diagonal) -> Fraction:
-    total = 0
-    c = 1  # C(n+k, j)
-    for j in range(k + 1):
-        term = c * diagonal[k - j]  # S(n+k-j, k-j)
-        total += -term if j & 1 else term
-        c = c * (n + k - j) // (j + 1)
-    return Fraction(factorial(n), factorial(n + k)) * total
-
-
-def bell_fraction(n: int, diagonal) -> Fraction:
+def bell_fraction(n: int, associated) -> Fraction:
     total = Fraction(0)
     for k in range(1, n + 1):
-        total += (-1) ** k * factorial(k) * reciprocal_args_fraction(n, k, diagonal)
+        bell_value = Fraction(factorial(n), factorial(n + k)) * associated[k]
+        total += (-1) ** k * factorial(k) * bell_value
     return total
+
+
+def bell_over_diagonal(n: int, diagonal) -> Fraction:
+    """The `bell` route as it read the diagonal S(n+i, i): each Bell value is
+    n!/(n+k)! T_k with T_k = sum_j (-1)^j C(n+k, j) S(n+k-j, k-j), and the
+    terms u_k T_k, u_k = k! (2n)!/(n+k)!, are summed over (2n)!/n!."""
+    denom = factorial(2 * n) // factorial(n)
+    u = denom // (n + 1)  # u_1
+    total = 0
+    for k in range(1, n + 1):
+        t = 0
+        c = 1  # C(n+k, j)
+        for j in range(k + 1):
+            term = c * diagonal[k - j]  # S(n+k-j, k-j)
+            t += -term if j & 1 else term
+            c = c * (n + k - j) // (j + 1)
+        term = u * t
+        total += -term if k & 1 else term
+        u = u * (k + 1) // (n + k + 1)
+    return Fraction(total, denom)
+
+
+def alternating_double_sum_verbatim(k: int) -> int:
+    """The alternating double sum as one generator expression, every power
+    and binomial computed afresh for each term."""
+    return sum(
+        (-1) ** (i + l) * comb(2 * k, l) * (k - i - l) ** (2 * k - 1)
+        for i in range(k)
+        for l in range(k - i)
+    )
 
 
 def logan_fraction(n: int, row) -> Fraction:

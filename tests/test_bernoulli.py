@@ -24,12 +24,15 @@ from bernstir.bernoulli import (
     supported_methods,
     supports,
 )
+from bernstir.bell import bell_zero_one
 from bernstir.series import bernoulli_series
-from bernstir.stirling import StirlingTable
+from bernstir.stirling import StirlingTable, stirling_diagonals
 from bernstir.verify import cross_verify
 
 from oracles import (
+    alternating_double_sum_verbatim,
     bell_fraction,
+    bell_over_diagonal,
     double_stirling_fraction,
     guo_qi_fraction,
     logan_fraction,
@@ -48,9 +51,20 @@ def rows(table, n):
     return tuple([table.value(m, k) for k in range(m + 1)] for m in (n, n + 1))
 
 
-def table_cells(table, n):
-    """What stirling_cells yields at n, read from `table` instead."""
-    return {Reads.DIAGONAL: diagonal(table, n), Reads.ROWS: rows(table, n)}
+def associated(table, n):
+    """The cells S_2(n+k, k), 0 <= k <= n, that `table` covers, each one
+    from the closed form B_{n+k,k}(0, 1, ..., 1) over `table`."""
+    top = min(n, table.max_n - n)
+    return [int(n == 0)] + [bell_zero_one(n + k, k, table) for k in range(1, top + 1)]
+
+
+TABLE_READS = {Reads.DIAGONAL: diagonal, Reads.ROWS: rows, Reads.ASSOCIATED: associated}
+
+
+def table_cells(table, n, specs=tuple(Reads)):
+    """What stirling_cells yields at n for the cell specs `specs`, read from
+    `table` instead."""
+    return {spec: TABLE_READS[spec](table, n) for spec in specs if spec is not None}
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +86,8 @@ def test_theorem_table_too_small():
 
 def test_bell_sum_known_values():
     assert bernoulli_bell(1, [0, 1]) == Fraction(-1, 2)
-    assert bernoulli_bell(2, [0, 1, 7]) == Fraction(1, 6)  # -1/3 + 2*(1/4)
-    assert bernoulli_bell(5, cells_at(5, [Method.BELL])[Reads.DIAGONAL]) == 0
+    assert bernoulli_bell(2, [0, 1, 3]) == Fraction(1, 6)  # (-4*1 + 2*3)/12
+    assert bernoulli_bell(5, cells_at(5, [Method.BELL])[Reads.ASSOCIATED]) == 0
     with pytest.raises(ValueError):
         bernoulli_bell(0, [1])
 
@@ -135,6 +149,11 @@ def test_alternating_evaluates_verbatim():
     assert alternating_double_sum(2) == 3  # 8 - 4 - 1
     assert bernoulli_alternating(1) == Fraction(1, 3)  # disagrees with B_2 = 1/6
     assert bernoulli_alternating(1) != bernoulli_oracle(2)
+
+
+def test_alternating_double_sum_equals_verbatim_sum():
+    for k in range(1, 61):
+        assert alternating_double_sum(k) == alternating_double_sum_verbatim(k), k
 
 
 def test_oracle_known_values():
@@ -201,7 +220,8 @@ def test_diagonal_routes_without_table_match_full_table(method):
         if not supports(method, n):
             continue
         value = bernoulli(n, method)
-        assert value == bernoulli(n, method, cells=table_cells(StirlingTable(2 * n + 1), n)), n
+        cells = table_cells(StirlingTable(2 * n + 1), n, [ROUTES[method].reads])
+        assert value == bernoulli(n, method, cells=cells), n
         assert value == series[n], n
 
 
@@ -210,6 +230,17 @@ def test_theorem_query_memory_is_linear():
     tracemalloc.start()
     try:
         bernoulli(300, Method.THEOREM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+def test_bell_query_memory_is_linear():
+    # the stream holds one column of S_2(n+k, k), as the theorem's holds S(n+i, i)
+    tracemalloc.start()
+    try:
+        bernoulli(300, Method.BELL)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -272,7 +303,7 @@ def test_integer_kernel_equals_fraction_sum(method, table_300):
     for n, cells in enumerate(stirling_cells(150, [method])):
         if not supports(method, n):
             continue
-        expected = fraction_sum(n, table_cells(table_300, n).get(reads))
+        expected = fraction_sum(n, table_cells(table_300, n, [reads]).get(reads))
         assert kernel(n, cells.get(reads)) == expected, n
 
 
@@ -293,7 +324,7 @@ def test_integer_kernels_at_first_index():
         reads = ROUTES[method].reads
         expected = bernoulli_series(n)[n]
         streamed = cells_at(n, [method]).get(reads)
-        from_table = table_cells(table, n).get(reads)
+        from_table = table_cells(table, n, [reads]).get(reads)
         assert kernel(n, streamed) == fraction_sum(n, from_table) == expected, method
 
 
@@ -315,6 +346,14 @@ class CountingSequence(Sequence):
 
 def test_bell_reads_each_diagonal_cell_once():
     for n in (1, 2, 7, 30):
-        diagonal = CountingSequence(cells_at(n, [Method.BELL])[Reads.DIAGONAL])
+        diagonal = CountingSequence(cells_at(n, [Method.BELL])[Reads.ASSOCIATED])
         assert bernoulli_bell(n, diagonal) == bernoulli_series(n)[n]
         assert diagonal.reads <= n + 1, n
+
+
+def test_bell_equals_the_route_over_the_stirling_diagonal():
+    streams = zip(stirling_cells(150, [Method.BELL]), stirling_diagonals(150))
+    for n, (cells, diagonal) in enumerate(streams):
+        if n:
+            value = bernoulli_bell(n, cells[Reads.ASSOCIATED])
+            assert value == bell_over_diagonal(n, diagonal), n

@@ -1,8 +1,10 @@
 import pytest
 
+from bernstir.bell import bell_zero_one, reciprocal_args_sum
 from bernstir.series import stirling_egf_coeff
 from bernstir.stirling import (
     StirlingTable,
+    associated_diagonals,
     stirling_diagonals,
     stirling_explicit,
     stirling_rows,
@@ -108,3 +110,26 @@ def test_diagonal_matches_table_to_60():
         assert diagonal == tuple(table.value(d + k, k) for k in range(61)), d
     with pytest.raises(ValueError):
         next(stirling_diagonals(-1))
+
+
+def test_associated_diagonals_match_both_closed_forms_to_60():
+    table = StirlingTable(118)
+    streams = zip(associated_diagonals(59), stirling_diagonals(59))
+    count = 0
+    for n, (associated, diagonal) in enumerate(streams):
+        assert len(associated) == 60
+        for k in range(1, n + 1):
+            assert associated[k] == reciprocal_args_sum(n, k, diagonal), (n, k)
+            assert associated[k] == bell_zero_one(n + k, k, table), (n, k)
+        assert associated[0] == (n == 0)
+        count += 1
+    assert count == 60
+    with pytest.raises(ValueError):
+        next(associated_diagonals(-1))
+
+
+def test_associated_diagonals_count_partitions_into_blocks_of_two_or_more():
+    diagonals = list(associated_diagonals(9))
+    for d in range(10):
+        for k in range(10 - d):
+            assert diagonals[d][k] == count_partitions_into(d + k, k, 2), (d, k)

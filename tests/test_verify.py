@@ -71,9 +71,24 @@ def test_identity_suite_all_pass():
     assert report.mismatches == ()
     for name, checked, passed in report.identity_counts:
         assert checked == passed, name
-    # four identities, canonical instances plus the random trials
+    # five identities, canonical instances plus the random trials
     names = [name for name, _, _ in report.identity_counts]
-    assert names == ["egf", "reciprocal", "scaling", "zero-one"]
+    assert names == ["associated", "egf", "reciprocal", "scaling", "zero-one"]
+    # one associated instance per cell S_2(n, k), n >= k >= 1, n <= 8
+    assert dict((name, c) for name, c, _ in report.identity_counts)["associated"] == 36
+
+
+def test_identity_suite_flags_a_wrong_associated_cell(monkeypatch):
+    import bernstir.verify as verify
+    from bernstir.stirling import associated_diagonals
+
+    def off_by_one_at_d3(max_d):
+        for d, col in enumerate(associated_diagonals(max_d)):
+            yield col[:2] + (col[2] + 1,) + col[3:] if d == 3 else col
+
+    monkeypatch.setattr(verify, "associated_diagonals", off_by_one_at_d3)
+    report = identity_suite(6, trials=1, seed=0)
+    assert report.mismatches == ((5, "associated"),)  # the cell S_2(5, 2)
 
 
 def test_identity_suite_reports_are_deterministic():
