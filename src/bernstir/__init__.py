@@ -15,7 +15,6 @@ from .bell import (
 )
 from .bernoulli import (
     Method,
-    PowerSumCoeffs,
     UnsupportedIndexError,
     bernoulli,
     bernoulli_alternating,
@@ -28,7 +27,7 @@ from .bernoulli import (
     power_sum_coeffs,
     supports,
 )
-from .exact import binomial, factorial, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .series import (
     TruncatedSeries,
     bell_egf_coeff,
@@ -46,7 +45,6 @@ from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
     "Method",
-    "PowerSumCoeffs",
     "StirlingTable",
     "TruncatedSeries",
     "UnsupportedIndexError",
@@ -67,9 +65,7 @@ __all__ = [
     "bernoulli_oracle",
     "bernoulli_series",
     "bernoulli_theorem",
-    "binomial",
     "cross_verify",
-    "factorial",
     "format_rational",
     "identity_suite",
     "parse_rational",

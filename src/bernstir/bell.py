@@ -4,7 +4,9 @@ Two independent evaluators: the defining sum over block-size profiles
 (``bell_partition_sum``, the oracle) and a convolution recurrence
 (``bell_recurrence``, the production path for larger n).  On top of those,
 closed forms for the two argument specializations (0, 1, ..., 1) and
-(1/2, 1/3, ...), and a rescaling identity evaluated on both sides.
+(1/2, 1/3, ...), and a rescaling identity evaluated on both sides.  The
+closed forms read one diagonal S(d+i, i) of the Stirling triangle as a plain
+sequence, an item of `stirling.stirling_diagonals`.
 
 Both evaluators run in integers.  B_{n,k} is homogeneous of degree k, so
 with q the lcm of the denominators of x_1..x_{n-k+1} and a_i = q * x_i,
@@ -18,8 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import binomial, factorial
-from .stirling import StirlingTable
+from .stirling import check_cells
 
 Args = Sequence[Fraction | int]
 
@@ -114,45 +115,38 @@ def bell_recurrence(n: int, k: int, xs: Args) -> Fraction:
     return Fraction(row[-1], q**k)
 
 
-def bell_zero_one(n: int, k: int, table: StirlingTable) -> int:
-    """B_{n,k}(0, 1, ..., 1) = sum_{i=0}^{k} (-1)^i C(n, i) S(n-i, k-i).
+def bell_zero_one(n: int, k: int, diagonal: Sequence[int]) -> int:
+    """B_{n,k}(0, 1, ..., 1) = sum_{i=0}^{k} (-1)^i C(n, i) S(n-i, k-i),
+    where diagonal[j] holds S(n-k+j, j) for 0 <= j <= k.
 
     Counts the partitions of an n-set into k blocks, every block of size
     at least 2: the 2-associated number S_2(n, k) that
     `stirling.associated_diagonals` streams by its own recurrence.
     """
     _check_indices(n, k)
+    check_cells(diagonal, k + 1)
     return sum(
-        (-1) ** i * binomial(n, i) * table.value(n - i, k - i) for i in range(k + 1)
+        (-1) ** i * math.comb(n, i) * diagonal[k - i] for i in range(k + 1)
     )
 
 
-def reciprocal_args_sum(n: int, k: int, diagonal: Sequence[int]) -> int:
-    """T_k = sum_{j=0}^{k} (-1)^j C(n+k, j) S(n+k-j, k-j), an integer, where
-    diagonal[i] holds S(n+i, i) for 0 <= i <= k and n >= k >= 1.
+def bell_reciprocal_args(n: int, k: int, diagonal: Sequence[int]) -> Fraction:
+    """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
+    = n!/(n+k)! * sum_{j=0}^{k} (-1)^j C(n+k, j) S(n+k-j, k-j),
+    where diagonal[i] holds S(n+i, i) for 0 <= i <= k.
 
-    C(n+k, j) is updated step by step; each division is exact, because
-    c*(n+k-j) is (j+1)*C(n+k, j+1).
+    The sum is taken in integers.  C(n+k, j) is updated step by step; each
+    division is exact, because c*(n+k-j) is (j+1)*C(n+k, j+1).
     """
+    _check_indices(n, k)
+    check_cells(diagonal, k + 1)
     total = 0
     c = 1  # C(n+k, j)
     for j in range(k + 1):
         term = c * diagonal[k - j]
         total += -term if j & 1 else term
         c = c * (n + k - j) // (j + 1)
-    return total
-
-
-def bell_reciprocal_args(n: int, k: int, table: StirlingTable) -> Fraction:
-    """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
-    = n!/(n+k)! * sum_{i=0}^{k} (-1)^(k-i) C(n+k, k-i) S(n+i, i),
-
-    which is n!/(n+k)! times `reciprocal_args_sum`.  Reads only the diagonal
-    S(n+i, i), 0 <= i <= k.
-    """
-    _check_indices(n, k)
-    diagonal = [table.value(n + i, i) for i in range(k + 1)]
-    return Fraction(factorial(n), factorial(n + k)) * reciprocal_args_sum(n, k, diagonal)
+    return Fraction(math.factorial(n), math.factorial(n + k)) * total
 
 
 def bell_scaling_identity_lhs_rhs(
@@ -175,7 +169,7 @@ def bell_scaling_identity_lhs_rhs(
     lhs = bell_partition_sum(
         n, k, [vals[i] / (i + 2) for i in range(n - k + 1)]
     )
-    rhs = Fraction(factorial(n), factorial(n + k)) * bell_partition_sum(
+    rhs = Fraction(math.factorial(n), math.factorial(n + k)) * bell_partition_sum(
         n + k, k, (Fraction(0),) + vals[:n]
     )
     return lhs, rhs

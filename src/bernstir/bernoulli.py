@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .exact import factorial
 from .series import bernoulli_series
-from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
+from .stirling import associated_diagonals, check_cells, stirling_diagonals, stirling_rows
 
 
 class Method(enum.Enum):
@@ -119,11 +118,6 @@ def bernoulli_oracle(n: int) -> Fraction:
     return bernoulli_series(n)[n]
 
 
-def _check_cells(cells: Sequence[int], length: int) -> None:
-    if len(cells) < length:
-        raise ValueError("needs %d Stirling cells, got %d" % (length, len(cells)))
-
-
 def bernoulli_theorem(n: int, diagonal: Sequence[int]) -> Fraction:
     """B_n = sum_{i=0}^{n} (-1)^i * C(n+1, i+1)/C(n+i, i) * S(n+i, i),
     where diagonal[i] holds S(n+i, i) for 0 <= i <= n.
@@ -135,8 +129,8 @@ def bernoulli_theorem(n: int, diagonal: Sequence[int]) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
-    _check_cells(diagonal, n + 1)
-    denom = factorial(2 * n) // factorial(n)
+    check_cells(diagonal, n + 1)
+    denom = math.factorial(2 * n) // math.factorial(n)
     w = (n + 1) * denom  # w_0
     total = 0
     for i in range(n + 1):
@@ -159,8 +153,8 @@ def bernoulli_bell(n: int, associated: Sequence[int]) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    _check_cells(associated, n + 1)
-    denom = factorial(2 * n) // factorial(n)
+    check_cells(associated, n + 1)
+    denom = math.factorial(2 * n) // math.factorial(n)
     u = denom // (n + 1)  # u_1
     total = 0
     for k in range(1, n + 1):
@@ -179,7 +173,7 @@ def bernoulli_logan(n: int, row: Sequence[int]) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    _check_cells(row, n + 1)
+    check_cells(row, n + 1)
     lcm = math.lcm(*range(1, n + 2))
     scaled = lcm  # k! L
     total = 0
@@ -190,17 +184,9 @@ def bernoulli_logan(n: int, row: Sequence[int]) -> Fraction:
     return Fraction(total, lcm)
 
 
-@dataclass(frozen=True)
-class PowerSumCoeffs:
-    """Coefficients A_0..A_{p+1} of the polynomial identity
-    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m (so A_0 = 0 always)."""
-
-    exponent: int
-    coeffs: tuple[Fraction, ...]
-
-
-def power_sum_coeffs(p: int) -> PowerSumCoeffs:
-    """Solve for the closed-form polynomial of sum_{m=1}^{n} m^p.
+def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
+    """The coefficients A_0..A_{p+1} of the polynomial identity
+    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m (so A_0 = 0 always).
 
     Evaluating both sides at n = 0..p+1 pins the unique coefficient vector
     (a Vandermonde system on distinct nodes); it is solved exactly by Newton
@@ -235,7 +221,7 @@ def power_sum_coeffs(p: int) -> PowerSumCoeffs:
             nxt[m] -= j * c
         nxt[0] += diffs[j] * scale
         poly = nxt
-    return PowerSumCoeffs(p, tuple(Fraction(c, scale) for c in poly))  # scale is L!
+    return tuple(Fraction(c, scale) for c in poly)  # scale is L!
 
 
 def bernoulli_guo_qi(k: int) -> Fraction:
@@ -255,7 +241,7 @@ def bernoulli_guo_qi(k: int) -> Fraction:
     n = 2 * k
     total, common = 0, 1  # the tail is total/common
     if k > 1:
-        coeffs = power_sum_coeffs(n - 1).coeffs
+        coeffs = power_sum_coeffs(n - 1)
         for m in range(2, n - 1, 2):
             den = coeffs[m].denominator * (m + 1)
             g = math.gcd(common, den)
@@ -279,8 +265,8 @@ def bernoulli_double_stirling(k: int, rows: Sequence[Sequence[int]]) -> Fraction
         raise ValueError("k must be >= 1, got %d" % k)
     n = 2 * k
     row, next_row = rows
-    _check_cells(row, n + 1)
-    _check_cells(next_row, n + 2)
+    check_cells(row, n + 1)
+    check_cells(next_row, n + 2)
     lcm = math.lcm(*range(1, n + 2))
     d = lcm // (n + 1)
     scaled = []  # D / C(n, m) for m = 0..n

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives shared by every formula module.
+"""Reading and writing the exact rationals every formula module returns.
 
 Python integers are arbitrary precision, and ``fractions.Fraction`` is kept
 reduced with a strictly positive denominator, so structural equality of
@@ -9,31 +9,9 @@ point.
 
 from __future__ import annotations
 
-import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial requires n >= 0, got %d" % n)
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, with C(n, k) = 0 outside 0 <= k <= n.
-
-    Returning 0 out of range keeps alternating binomial sums free of
-    boundary special cases.
-    """
-    if n < 0:
-        raise ValueError("binomial requires n >= 0, got %d" % n)
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 _ECHO = 40  # characters of rejected input quoted back in the error

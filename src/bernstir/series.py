@@ -17,10 +17,8 @@ of truncating silently, because oracle code must fail loudly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Sequence
-
-from .exact import factorial
 
 
 def _dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
@@ -69,50 +67,26 @@ class TruncatedSeries:
             raise ValueError("coefficient %d outside order %d" % (j, self.order))
         return self._coeffs[j]
 
-    def _matched(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                "order mismatch: %d vs %d" % (self.order, other.order)
-            )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
         return "TruncatedSeries(%r)" % (self._coeffs,)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._matched(other)
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._matched(other)
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __mul__(self, other: "TruncatedSeries | Fraction | int") -> "TruncatedSeries":
-        """Scale by a number, or take the Cauchy product truncated at the order.
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The Cauchy product truncated at the order.
 
         (ab)_j = sum_{i=0}^{j} a_i b_{j-i}, each sum taken in integers over
         one denominator (see `_dot`).
         """
-        if not isinstance(other, TruncatedSeries):
-            scale = Fraction(other)
-            return TruncatedSeries([c * scale for c in self._coeffs])
-        self._matched(other)
+        if self.order != other.order:
+            raise ValueError("order mismatch: %d vs %d" % (self.order, other.order))
         a, b = self._coeffs, other._coeffs
         return TruncatedSeries(
             [_dot(a[: j + 1], b[j::-1]) for j in range(self.order + 1)]
         )
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:

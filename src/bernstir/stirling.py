@@ -3,20 +3,31 @@
 The additive recurrence is the production path, run as two streams:
 ``stirling_rows`` yields the triangle one row at a time, and
 ``stirling_diagonals`` yields the diagonals S(d+k, k) one column sweep at a
-time; each keeps only its latest item.  ``StirlingTable`` keeps every row
-for random access.  ``stirling_explicit`` evaluates the alternating
-binomial sum directly and serves as the cross-check.
+time; each keeps only its latest item.  Every formula in the package reads
+its cells as such plain sequences, and ``check_cells`` is their one length
+check.  ``stirling_explicit`` evaluates the alternating binomial sum
+directly and serves as the cross-check.
 
 ``associated_diagonals`` streams the 2-associated numbers S_2(d+k, k), the
 partitions into k blocks of size at least 2, by the same kind of column
 sweep.
+
+The one class in this module keeps every row for random access.  Nothing in
+the package builds one: it stays as the tests' random-access reference and
+as the class whose construction the benchmark's ``stirling.table`` span
+times.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from typing import Iterator, Sequence
 
-from .exact import binomial, factorial
+
+def check_cells(cells: Sequence[int], length: int) -> None:
+    """Raise ValueError unless `cells` holds at least `length` cells."""
+    if len(cells) < length:
+        raise ValueError("needs %d Stirling cells, got %d" % (length, len(cells)))
 
 
 def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
@@ -124,8 +135,8 @@ def stirling_explicit(n: int, k: int) -> int:
         return 1 if n == 0 else 0
     if k > n:
         return 0
-    total = sum((-1) ** (k - l) * binomial(k, l) * l**n for l in range(1, k + 1))
-    q, r = divmod(total, factorial(k))
+    total = sum((-1) ** (k - l) * math.comb(k, l) * l**n for l in range(1, k + 1))
+    q, r = divmod(total, math.factorial(k))
     if r:
         raise RuntimeError(
             "alternating sum for S(%d, %d) is not divisible by %d!" % (n, k, k)

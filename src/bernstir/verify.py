@@ -30,7 +30,7 @@ from .bell import (
 from .bernoulli import Method, bernoulli, stirling_cells, supports
 from .exact import format_rational
 from .series import bell_egf_coeff, bernoulli_series
-from .stirling import StirlingTable, associated_diagonals
+from .stirling import associated_diagonals, stirling_diagonals
 
 IDENTITY_ASSOCIATED = "associated"
 IDENTITY_ZERO_ONE = "zero-one"
@@ -185,6 +185,9 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
     at their fixed arguments, the rescaling and EGF identities at the
     canonical all-ones arguments, and the cell S_2(n, k) of
     `associated_diagonals` against the closed form `bell_zero_one(n, k)`.
+    The closed forms read the diagonals of `stirling_diagonals`, streamed
+    in step with `associated_diagonals`: diagonal d holds the cells of the
+    reciprocal form at n = d and of the zero-one form at n = d+k.
     On top of that, `trials` random-argument instances of the rescaling and
     EGF identities are drawn from a generator seeded with `seed`, so
     identical inputs give byte-identical reports.
@@ -194,33 +197,29 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
     rng = random.Random(seed)
-    table = StirlingTable(2 * max_n)
     instances: list[tuple[str, int, bool]] = []
+
+    streams = zip(stirling_diagonals(max_n), associated_diagonals(max_n))
+    for d, (diagonal, associated) in enumerate(streams):
+        for k in range(1, d + 1):
+            reciprocal_args = [Fraction(1, i + 1) for i in range(1, d - k + 2)]
+            ok = bell_reciprocal_args(d, k, diagonal) == bell_partition_sum(
+                d, k, reciprocal_args
+            )
+            instances.append((IDENTITY_RECIPROCAL, d, ok))
+        for k in range(1, max_n - d + 1):
+            n = d + k
+            zero_one = bell_zero_one(n, k, diagonal)
+            zero_one_args = (Fraction(0),) + (Fraction(1),) * d
+            ok = zero_one == bell_partition_sum(n, k, zero_one_args)
+            instances.append((IDENTITY_ZERO_ONE, n, ok))
+            instances.append((IDENTITY_ASSOCIATED, n, associated[k] == zero_one))
 
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            m = n - k + 1
-            zero_one_args = (Fraction(0),) + (Fraction(1),) * (m - 1)
-            instances.append(
-                (
-                    IDENTITY_ZERO_ONE,
-                    n,
-                    bell_zero_one(n, k, table)
-                    == bell_partition_sum(n, k, zero_one_args),
-                )
-            )
-            reciprocal_args = [Fraction(1, i + 1) for i in range(1, m + 1)]
-            instances.append(
-                (
-                    IDENTITY_RECIPROCAL,
-                    n,
-                    bell_reciprocal_args(n, k, table)
-                    == bell_partition_sum(n, k, reciprocal_args),
-                )
-            )
             lhs, rhs = bell_scaling_identity_lhs_rhs(n, k, (Fraction(1),) * n)
             instances.append((IDENTITY_SCALING, n, lhs == rhs))
-            ones = (Fraction(1),) * m
+            ones = (Fraction(1),) * (n - k + 1)
             instances.append(
                 (
                     IDENTITY_EGF,
@@ -228,12 +227,6 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
                     bell_egf_coeff(n, k, ones) == bell_partition_sum(n, k, ones),
                 )
             )
-
-    for d, associated in enumerate(associated_diagonals(max_n)):
-        for k in range(1, max_n - d + 1):
-            n = d + k
-            ok = associated[k] == bell_zero_one(n, k, table)
-            instances.append((IDENTITY_ASSOCIATED, n, ok))
 
     for _ in range(trials):
         n = rng.randint(1, max_n)

@@ -54,25 +54,6 @@ def bell_by_set_partitions(n: int, k: int, xs: Sequence[Fraction | int]) -> Frac
     return total
 
 
-def pascal_triangle(max_n: int) -> list[list[int]]:
-    """Binomial coefficients by the additive rule only."""
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return rows
-
-
-def iterated_factorial(n: int) -> int:
-    """n! as a bare running product."""
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
     """Monomial coefficients A_0..A_{p+1} of sum_{m=1}^{n} m^p, solved by
     Newton interpolation on the nodes 0..p+1 with Fraction divided

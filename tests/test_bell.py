@@ -11,9 +11,7 @@ from bernstir.bell import (
     bell_recurrence,
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
-    reciprocal_args_sum,
 )
-from bernstir.exact import factorial
 from bernstir.stirling import StirlingTable, stirling_diagonals
 
 from oracles import (
@@ -101,47 +99,43 @@ def test_all_ones_give_stirling_numbers():
 
 
 def test_zero_one_known_values():
-    table = StirlingTable(6)
-    assert bell_zero_one(4, 2, table) == 3
-    assert bell_zero_one(5, 2, table) == 10  # C(5,3): choose the 3-block
-    assert bell_zero_one(3, 3, table) == 0  # needs >= 6 elements
+    diagonals = list(stirling_diagonals(6))  # B_{n,k}(0, 1, ...) reads diagonal n-k
+    assert bell_zero_one(4, 2, diagonals[2]) == 3
+    assert bell_zero_one(5, 2, diagonals[3]) == 10  # C(5,3): choose the 3-block
+    assert bell_zero_one(3, 3, diagonals[0]) == 0  # needs >= 6 elements
 
 
 def test_zero_one_counts_min2_partitions():
-    table = StirlingTable(10)
+    diagonals = list(stirling_diagonals(10))
     for n in range(2, 11):
         for k in range(1, n // 2 + 1):
-            assert bell_zero_one(n, k, table) == count_partitions_into(
+            assert bell_zero_one(n, k, diagonals[n - k]) == count_partitions_into(
                 n, k, min_block=2
             ), (n, k)
 
 
 def test_zero_one_equals_partition_sum():
-    table = StirlingTable(12)
+    diagonals = list(stirling_diagonals(12))
     for n in range(1, 13):
         for k in range(1, n + 1):
             args = [0] + [1] * (n - k)
-            assert bell_zero_one(n, k, table) == bell_partition_sum(n, k, args)
+            assert bell_zero_one(n, k, diagonals[n - k]) == bell_partition_sum(n, k, args)
 
 
 def test_reciprocal_args_known_values():
-    table = StirlingTable(6)
-    assert bell_reciprocal_args(2, 1, table) == Fraction(1, 3)
-    assert bell_reciprocal_args(4, 2, table) == Fraction(5, 6)
-    assert bell_reciprocal_args(1, 1, table) == Fraction(1, 2)
+    diagonals = list(stirling_diagonals(6))  # B_{n,k}(1/2, 1/3, ...) reads diagonal n
+    assert bell_reciprocal_args(2, 1, diagonals[2]) == Fraction(1, 3)
+    assert bell_reciprocal_args(4, 2, diagonals[4]) == Fraction(5, 6)
+    assert bell_reciprocal_args(1, 1, diagonals[1]) == Fraction(1, 2)
 
 
 def test_reciprocal_args_equals_partition_sum():
-    table = StirlingTable(24)
     diagonals = list(stirling_diagonals(12))
     for n in range(1, 13):
-        cells = diagonals[n]
         for k in range(1, n + 1):
             args = [Fraction(1, i + 1) for i in range(1, n - k + 2)]
             expected = bell_partition_sum(n, k, args)
-            assert bell_reciprocal_args(n, k, table) == expected
-            scale = Fraction(factorial(n), factorial(n + k))
-            assert scale * reciprocal_args_sum(n, k, cells) == expected, (n, k)
+            assert bell_reciprocal_args(n, k, diagonals[n]) == expected, (n, k)
 
 
 def test_scaling_identity_known_values():
@@ -169,11 +163,12 @@ def test_reciprocal_args_match_series_coefficients():
     # closed form, i.e. the EGF with x_m = 1/(m+1) generates the same values
     from bernstir.series import bell_egf_coeff
 
-    table = StirlingTable(26)
+    diagonals = list(stirling_diagonals(20))
     for k in range(1, 7):
         for n in range(k, 21):
             args = [Fraction(1, m + 1) for m in range(1, n - k + 2)]
-            assert bell_egf_coeff(n, k, args) == bell_reciprocal_args(n, k, table), (n, k)
+            expected = bell_reciprocal_args(n, k, diagonals[n])
+            assert bell_egf_coeff(n, k, args) == expected, (n, k)
 
 
 def test_argument_validation():
@@ -187,7 +182,7 @@ def test_argument_validation():
         bell_partition_sum(0, 0, [])
     with pytest.raises(ValueError):
         bell_scaling_identity_lhs_rhs(3, 1, [1, 1])  # needs x_2..x_4
-    with pytest.raises(ValueError):
-        bell_zero_one(7, 2, StirlingTable(5))  # table too small
-    with pytest.raises(ValueError):
-        bell_reciprocal_args(4, 2, StirlingTable(5))  # needs n+k
+    with pytest.raises(ValueError, match="needs 3 Stirling cells, got 2"):
+        bell_zero_one(7, 2, (0, 1))  # diagonal 5 cut short of S(7, 2)
+    with pytest.raises(ValueError, match="needs 3 Stirling cells, got 2"):
+        bell_reciprocal_args(4, 2, (0, 1))  # diagonal 4 cut short of S(6, 2)

@@ -53,9 +53,9 @@ def rows(table, n):
 
 def associated(table, n):
     """The cells S_2(n+k, k), 0 <= k <= n, that `table` covers, each one
-    from the closed form B_{n+k,k}(0, 1, ..., 1) over `table`."""
-    top = min(n, table.max_n - n)
-    return [int(n == 0)] + [bell_zero_one(n + k, k, table) for k in range(1, top + 1)]
+    from the closed form B_{n+k,k}(0, 1, ..., 1) over diagonal n of `table`."""
+    cells = diagonal(table, n)
+    return [int(n == 0)] + [bell_zero_one(n + k, k, cells) for k in range(1, len(cells))]
 
 
 TABLE_READS = {Reads.DIAGONAL: diagonal, Reads.ROWS: rows, Reads.ASSOCIATED: associated}
@@ -101,19 +101,19 @@ def test_logan_known_values(table):
 
 
 def test_power_sum_known_coefficients():
-    assert power_sum_coeffs(0).coeffs == (0, 1)
-    assert power_sum_coeffs(2).coeffs == (
+    assert power_sum_coeffs(0) == (0, 1)
+    assert power_sum_coeffs(2) == (
         0,
         Fraction(1, 6),
         Fraction(1, 2),
         Fraction(1, 3),
     )
-    assert power_sum_coeffs(3).coeffs == (0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    assert power_sum_coeffs(3) == (0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
 
 
 def test_power_sum_polynomial_identity():
     for p in range(13):
-        coeffs = power_sum_coeffs(p).coeffs
+        coeffs = power_sum_coeffs(p)
         assert coeffs[0] == 0
         assert len(coeffs) == p + 2
         for n in range(1, p + 4):
@@ -124,7 +124,7 @@ def test_power_sum_polynomial_identity():
 
 def test_power_sum_matches_fraction_solver():
     for p in range(41):
-        assert power_sum_coeffs(p).coeffs == power_sum_coeffs_fraction(p), p
+        assert power_sum_coeffs(p) == power_sum_coeffs_fraction(p), p
 
 
 def test_guo_qi_known_values():
@@ -286,7 +286,7 @@ INTEGER_KERNELS = {
     ),
     Method.GUO_QI: (
         lambda n, c: bernoulli_guo_qi(n // 2),
-        lambda n, c: guo_qi_fraction(n // 2, power_sum_coeffs(n - 1).coeffs),
+        lambda n, c: guo_qi_fraction(n // 2, power_sum_coeffs(n - 1)),
     ),
 }
 

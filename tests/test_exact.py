@@ -4,46 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernstir.exact import binomial, factorial, format_rational, parse_rational
-
-from oracles import iterated_factorial, pascal_triangle
+from bernstir.exact import format_rational, parse_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 nonzero = rationals.filter(lambda q: q != 0)
-
-
-def test_factorial_known_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == iterated_factorial(20) == 2432902008176640000
-
-
-def test_factorial_recurrence():
-    for n in range(1, 51):
-        assert factorial(n) == n * factorial(n - 1)
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_binomial_known_values():
-    assert binomial(5, 2) == 10
-    assert binomial(4, 7) == 0
-    assert binomial(3, -1) == 0
-    assert binomial(30, 15) == pascal_triangle(30)[30][15] == 155117520
-
-
-def test_binomial_pascal_identity():
-    for n in range(1, 51):
-        for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-2, 0)
 
 
 @given(a=rationals, b=rationals)

@@ -40,16 +40,6 @@ def test_mul_known_products():
 def test_mul_order_mismatch():
     with pytest.raises(ValueError):
         S(1, 1) * S(1, 1, 1)
-    with pytest.raises(ValueError):
-        S(1, 1) + S(1, 1, 1)
-
-
-def test_scalar_and_linear_ops():
-    s = S(1, 2, 3)
-    assert (s * 2).coeffs == (2, 4, 6)
-    assert (Fraction(1, 2) * s).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
-    assert (-s + s) == S(0, 0, 0)
-    assert (s - s) == S(0, 0, 0)
 
 
 def test_reciprocal_geometric():

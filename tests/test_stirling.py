@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from bernstir.bell import bell_zero_one, reciprocal_args_sum
+from bernstir.bell import bell_reciprocal_args, bell_zero_one
 from bernstir.series import stirling_egf_coeff
 from bernstir.stirling import (
     StirlingTable,
@@ -113,14 +115,15 @@ def test_diagonal_matches_table_to_60():
 
 
 def test_associated_diagonals_match_both_closed_forms_to_60():
-    table = StirlingTable(118)
     streams = zip(associated_diagonals(59), stirling_diagonals(59))
     count = 0
     for n, (associated, diagonal) in enumerate(streams):
         assert len(associated) == 60
         for k in range(1, n + 1):
-            assert associated[k] == reciprocal_args_sum(n, k, diagonal), (n, k)
-            assert associated[k] == bell_zero_one(n + k, k, table), (n, k)
+            # S_2(n+k, k) = (n+k)!/n! B_{n,k}(1/2, 1/3, ...) = B_{n+k,k}(0, 1, ...)
+            scale = math.factorial(n + k) // math.factorial(n)
+            assert associated[k] == scale * bell_reciprocal_args(n, k, diagonal), (n, k)
+            assert associated[k] == bell_zero_one(n + k, k, diagonal), (n, k)
         assert associated[0] == (n == 0)
         count += 1
     assert count == 60

@@ -71,11 +71,16 @@ def test_identity_suite_all_pass():
     assert report.mismatches == ()
     for name, checked, passed in report.identity_counts:
         assert checked == passed, name
-    # five identities, canonical instances plus the random trials
-    names = [name for name, _, _ in report.identity_counts]
-    assert names == ["associated", "egf", "reciprocal", "scaling", "zero-one"]
-    # one associated instance per cell S_2(n, k), n >= k >= 1, n <= 8
-    assert dict((name, c) for name, c, _ in report.identity_counts)["associated"] == 36
+    # five identities, one canonical instance per cell n >= k >= 1, n <= 8
+    # (36 cells), plus the 50 random trials each of scaling and egf
+    assert report.checked == 280
+    assert report.identity_counts == (
+        ("associated", 36, 36),
+        ("egf", 86, 86),
+        ("reciprocal", 36, 36),
+        ("scaling", 86, 86),
+        ("zero-one", 36, 36),
+    )
 
 
 def test_identity_suite_flags_a_wrong_associated_cell(monkeypatch):
