@@ -325,6 +325,8 @@ def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
     the diagonals of `stirling_diagonals(max_n)`, the consecutive pairs of
     `stirling_rows(max_n + 1)` and the diagonals of
     `associated_diagonals(max_n)`, each stream advanced one step per n."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0, got %d" % max_n)
     reads = {ROUTES[m].reads for m in methods}
     streams: dict[Reads, Iterator] = {}
     if Reads.DIAGONAL in reads:
@@ -339,6 +341,8 @@ def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
 
 def cells_at(n: int, methods: Iterable[Method]) -> Cells:
     """The last item of `stirling_cells(n, methods)`."""
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
     return collections.deque(stirling_cells(n, methods), maxlen=1).pop()
 
 

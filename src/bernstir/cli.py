@@ -2,7 +2,14 @@
 
 Commands: bernoulli, stirling, bell, verify, bench.  Every command accepts
 --format {plain,json,csv}.  Exit codes: 0 success, 2 verification mismatch,
-64 usage error.
+64 usage error.  A usage error is an argument argparse rejects, an index
+past the cap, an unknown method name, or a ValueError the library raises on
+the given arguments (such as `bell 2 4` or `verify --max-n 0`); each prints
+one line, `error: <message>`, on stderr.
+
+`verify` and `bench` run one cross-check handler over `cross_verify`:
+verify renders each entry's agreement with the oracle, bench the time its
+method took.  bench takes any --max-n that verify takes, 1 included.
 
 JSON value records follow {"n": int, "method": str, "value": "p/q"}; values
 are always exact "p"/"p/q" strings so nothing passes through floating
@@ -27,17 +34,10 @@ import json
 import os
 import re
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
-from .bernoulli import (
-    ROUTES,
-    Method,
-    UnsupportedIndexError,
-    bernoulli,
-    cells_at,
-    supported_methods,
-)
+from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
 from .exact import format_rational, parse_rational
 from .stirling import stirling_rows
 from .verify import cross_verify
@@ -120,38 +120,52 @@ def _parse_method(name: str) -> Method:
         ) from None
 
 
+def _method_list(text: str) -> list[Method]:
+    """The argparse type of bench's --methods and --known: comma-separated
+    method names, where `all` names every method and empty names are
+    skipped."""
+    methods = []
+    for name in text.split(","):
+        name = name.strip()
+        if name == "all":
+            methods.extend(Method)
+        elif name:
+            methods.append(_parse_method(name))
+    return methods
+
+
+def _render(fmt: str, keys: Sequence[str], rows: list[tuple], plain: Callable[[], str]) -> str:
+    """Records `rows` with fields `keys` as a json list of objects, as csv
+    under the header `keys`, or as the text `plain()`."""
+    if fmt == "json":
+        return render_json([dict(zip(keys, row)) for row in rows])
+    if fmt == "csv":
+        return render_csv(",".join(keys), rows)
+    return plain()
+
+
 def cmd_bernoulli(args: argparse.Namespace) -> Output:
     n = args.n
-    if n < 0:
-        raise UsageError("n must be >= 0, got %d" % n)
     _check_cap(n, "n")
     if args.method == "all":
         defined = supported_methods(n)
         cells = cells_at(n, defined)
-        records = []
-        for method in Method:
-            if method in defined:
-                value = format_rational(bernoulli(n, method, cells=cells))
-            else:
-                value = "unsupported"
-            records.append({"n": n, "method": method.value, "value": value})
+        values = {m: format_rational(bernoulli(n, m, cells=cells)) for m in defined}
+        rows = [(n, m.value, values.get(m, "unsupported")) for m in Method]
     else:
         method = _parse_method(args.method)
-        records = [
-            {"n": n, "method": method.value, "value": format_rational(bernoulli(n, method))}
-        ]
-    if args.format == "json":
-        text = render_json(records)
-    elif args.format == "csv":
-        text = render_csv("n,method,value", [(r["n"], r["method"], r["value"]) for r in records])
-    elif len(records) == 1:
-        text = records[0]["value"] + "\n"
-    else:
-        text = "".join("%s %s\n" % (r["method"], r["value"]) for r in records)
-    return (text,), EXIT_OK
+        rows = [(n, method.value, format_rational(bernoulli(n, method)))]
+
+    def plain() -> str:  # one method prints its value alone
+        if len(rows) == 1:
+            return rows[0][2] + "\n"
+        return "".join("%s %s\n" % row[1:] for row in rows)
+
+    return (_render(args.format, ("n", "method", "value"), rows, plain),), EXIT_OK
 
 
 def cmd_stirling(args: argparse.Namespace) -> Output:
+    # checked here: stirling_rows would raise only once main() writes the rows
     if args.max_n < 0:
         raise UsageError("--max-n must be >= 0, got %d" % args.max_n)
     _check_cap(args.max_n, "max-n")
@@ -175,72 +189,40 @@ def _stirling_chunks(max_n: int, fmt: str) -> Iterator[str]:
 
 def cmd_bell(args: argparse.Namespace) -> Output:
     n, k = args.n, args.k
-    if not n >= k >= 1:
-        raise UsageError("bell needs n >= k >= 1, got (%d, %d)" % (n, k))
     _check_cap(n, "n")
-    try:
-        xs = [parse_rational(token) for token in args.args.split(",")]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if len(xs) < n - k + 1:
-        raise UsageError(
-            "B_{%d,%d} needs %d arguments x_1..x_%d, got %d"
-            % (n, k, n - k + 1, n - k + 1, len(xs))
-        )
+    xs = [parse_rational(token) for token in args.args.split(",")]
     evaluate = bell_partition_sum if args.evaluator == "partition-sum" else bell_recurrence
     value = format_rational(evaluate(n, k, xs))
-    if args.format == "json":
-        text = render_json([{"n": n, "k": k, "value": value}])
-    elif args.format == "csv":
-        text = render_csv("n,k,value", [(n, k, value)])
-    else:
-        text = value + "\n"
+    text = _render(args.format, ("n", "k", "value"), [(n, k, value)], lambda: value + "\n")
     return (text,), EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> Output:
-    if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1, got %d" % args.max_n)
+    """The handler of both `verify` and `bench`: cross-check `args.methods`
+    (every method when empty) against the oracle.  verify renders each
+    entry's agreement, bench the time its method took."""
     _check_cap(args.max_n, "max-n")
-    known = KNOWN if args.allow_known else ()
-    report = cross_verify(args.max_n, known)
+    report = cross_verify(args.max_n, args.known, args.methods or tuple(Method))
     code = EXIT_OK if report.ok else EXIT_MISMATCH
-    if args.format == "json":
+    if args.command == "bench":
+        rows = [
+            (e.n, e.method, format_rational(e.value), e.elapsed_ns // 1000)
+            for e in report.entries
+        ]
+        text = _render(
+            args.format,
+            ("n", "method", "value", "micros"),
+            rows,
+            lambda: "".join("%d %s %s %dus\n" % row for row in rows),
+        )
+    elif args.format == "json":
         text = report.to_json()
-    elif args.format == "csv":
+    else:
         rows = [
             (e.n, e.method, format_rational(e.value), "yes" if e.agrees_with_oracle else "no")
             for e in report.entries
         ]
-        text = render_csv("n,method,value,agrees", rows)
-    else:
-        text = report.to_table()
-    return (text,), code
-
-
-def cmd_bench(args: argparse.Namespace) -> Output:
-    """Render cross_verify's entries with the time each method took."""
-    if args.max_n < 2:
-        raise UsageError("--max-n must be >= 2, got %d" % args.max_n)
-    _check_cap(args.max_n, "max-n")
-    names = args.methods.split(",") if args.methods else METHOD_NAMES
-    methods = [_parse_method(name.strip()) for name in names]
-    known = [
-        _parse_method(name.strip()).value for name in args.known.split(",") if name.strip()
-    ]
-    report = cross_verify(args.max_n, known, methods)
-    code = EXIT_OK if report.ok else EXIT_MISMATCH
-    rows = [
-        (e.n, e.method, format_rational(e.value), e.elapsed_ns // 1000)
-        for e in report.entries
-    ]
-    if args.format == "json":
-        keys = ("n", "method", "value", "micros")
-        text = render_json([dict(zip(keys, row)) for row in rows])
-    elif args.format == "csv":
-        text = render_csv("n,method,value,micros", rows)
-    else:
-        text = "".join("%d %s %s %dus\n" % row for row in rows)
+        text = _render(args.format, ("n", "method", "value", "agrees"), rows, report.to_table)
     return (text,), code
 
 
@@ -277,19 +259,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="cross-verify all methods against the oracle")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--allow-known", action="store_true",
+    p.add_argument("--allow-known", action="store_const", const=KNOWN, default=(),
+                   dest="known",
                    help="do not fail on the documented '%s' discrepancy" % "', '".join(KNOWN))
     add_format(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, methods=tuple(Method))
 
     p = sub.add_parser("bench", help="time every method per index against the oracle")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--methods", default="",
+    p.add_argument("--methods", type=_method_list, default="",
                    help="comma-separated subset of methods (default: all)")
-    p.add_argument("--known", default=",".join(KNOWN),
+    p.add_argument("--known", type=_method_list, default=",".join(KNOWN),
                    help="methods whose mismatches against the oracle do not fail the run")
     add_format(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -298,9 +281,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         chunks, code = args.func(args)
-    except (UsageError, UnsupportedIndexError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (UsageError, ValueError) as exc:
+        # one line, even when a quoted argument holds a line break
+        print("error: %s" % " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # --help, once argparse has printed the help
+        return exc.code
     try:
         for chunk in chunks:
             sys.stdout.write(chunk)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable
@@ -246,26 +247,25 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
             )
         )
 
-    # aggregate instances into one entry per (n, identity)
+    # aggregate instances into one entry per (n, identity) and tally each identity
     by_key: dict[tuple[int, str], bool] = {}
+    checked: Counter[str] = Counter()
+    passed: Counter[str] = Counter()
     for name, n, ok in instances:
         key = (n, name)
         by_key[key] = by_key.get(key, True) and ok
+        checked[name] += 1
+        passed[name] += ok
     entries = tuple(
         ReportEntry(n, name, None, ok)
         for (n, name), ok in sorted(by_key.items())
     )
     mismatches = tuple((n, name) for (n, name), ok in sorted(by_key.items()) if not ok)
-    counts = []
-    for identity in sorted({name for name, _, _ in instances}):
-        total = sum(1 for name, _, _ in instances if name == identity)
-        passed = sum(1 for name, _, ok in instances if name == identity and ok)
-        counts.append((identity, total, passed))
     return VerificationReport(
         max_n=max_n,
         entries=entries,
         checked=len(instances),
         mismatches=mismatches,
         known_discrepancies=(),
-        identity_counts=tuple(counts),
+        identity_counts=tuple((name, checked[name], passed[name]) for name in sorted(checked)),
     )

@@ -185,6 +185,14 @@ def test_dispatcher_rejects_unsupported_index():
         bernoulli(2, "no-such-method")
 
 
+@pytest.mark.parametrize("methods", [[Method.THEOREM], [], list(Method)])
+def test_cell_streams_reject_a_negative_index(methods):
+    with pytest.raises(ValueError, match="max_n must be >= 0, got -1"):
+        next(stirling_cells(-1, methods))
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        cells_at(-1, methods)
+
+
 def test_supports_and_domains():
     assert supports(Method.ORACLE, 0)
     assert supports(Method.THEOREM, 0)

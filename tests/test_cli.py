@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bernstir
-from bernstir.cli import FORMATS, build_parser, main, render_json
+from bernstir.cli import FORMATS, METHOD_NAMES, build_parser, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -115,10 +120,13 @@ def test_bell_rejects_bad_tokens(capsys):
     code, _, err = run_cli(capsys, "bell", "4", "2", "--args", "1/2,nope,1/4")
     assert code == 64
     assert "not a rational" in err
-    code, _, err = run_cli(capsys, "bell", "4", "2", "--args", "1/2")
-    assert code == 64
-    code, _, err = run_cli(capsys, "bell", "2", "4", "--args", "1")
-    assert code == 64
+    # the library's own checks, in its own words
+    assert run_cli(capsys, "bell", "4", "2", "--args", "1/2") == (
+        64, "", "error: B_{4,2} needs arguments x_1..x_3, got 1\n"
+    )
+    assert run_cli(capsys, "bell", "2", "4", "--args", "1") == (
+        64, "", "error: B_{n,k} needs n >= k >= 1, got (2, 4)\n"
+    )
 
 
 def test_bell_accepts_long_numerals(capsys):
@@ -213,8 +221,93 @@ def test_bench_single_method_gate(capsys, argv, code):
 
 
 def test_bench_rejects_small_range(capsys):
-    code, _, err = run_cli(capsys, "bench", "--max-n", "1")
-    assert code == 64
+    # bench takes the range cross_verify takes, as verify does
+    assert run_cli(capsys, "bench", "--max-n", "0") == (64, "", "error: max_n must be >= 1, got 0\n")
+    assert run_cli(capsys, "bench", "--max-n", "1", "--format", "csv")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, methods",
+    [
+        (("--methods", "all", "--known", ""), 2, set(METHOD_NAMES)),
+        (("--methods", "all", "--known", "all"), 0, set(METHOD_NAMES)),
+        (("--methods", "logan,", "--known", ""), 0, {"logan"}),
+        (("--methods", ",alternating,,", "--known", "alternating,"), 0, {"alternating"}),
+        (("--methods", ""), 0, set(METHOD_NAMES)),
+        (("--methods", ","), 0, set(METHOD_NAMES)),
+    ],
+)
+def test_bench_method_lists(capsys, argv, code, methods):
+    # `all` and empty names read the same in --methods and --known
+    got, out, err = run_cli(capsys, "bench", "--max-n", "4", *argv, "--format", "csv")
+    assert (got, err) == (code, "")
+    assert {line.split(",")[1] for line in out.splitlines()[1:]} == methods
+
+
+@pytest.mark.parametrize("option", ["--methods", "--known"])
+def test_bench_rejects_unknown_method_names(capsys, option):
+    code, out, err = run_cli(capsys, "bench", "--max-n", "4", option, "logan,bogus")
+    assert (code, out) == (64, "")
+    assert err.startswith("error: unknown method 'bogus'; choose from: alternating, ")
+    assert err.endswith(" or all\n")
+
+
+@pytest.mark.parametrize("argv", [("bernoulli", "-1"), ("bernoulli", "-1", "--method", "all")])
+def test_bernoulli_rejects_a_negative_index(capsys, argv):
+    assert run_cli(capsys, *argv) == (64, "", "error: n must be >= 0, got -1\n")
+
+
+NUMBERS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.sampled_from(["", "x", "1.5", "1e3", "--1", "0x10", "9" * 40, " 7", "\u0663", "1_0"]),
+)
+RATIONALS = st.one_of(NUMBERS, st.builds("{}/{}".format, NUMBERS, NUMBERS))
+NAMES = st.sampled_from(METHOD_NAMES + ("all", "bogus", "", " logan ", "LOGAN"))
+
+
+@st.composite
+def argvs(draw):
+    """An argv for one of the five commands: numbers, rationals and method
+    names good and bad, and at times one stray token anywhere."""
+    command = draw(st.sampled_from(("bernoulli", "stirling", "bell", "verify", "bench")))
+    argv = [command]
+    if command == "bernoulli":
+        argv.append(draw(NUMBERS))
+        if draw(st.booleans()):
+            argv += ["--method", draw(NAMES)]
+    elif command == "bell":
+        argv += [draw(NUMBERS), draw(NUMBERS)]
+        argv.append("--args=" + ",".join(draw(st.lists(RATIONALS, min_size=1, max_size=6))))
+        argv += ["--evaluator", draw(st.sampled_from(("recurrence", "partition-sum")))]
+    else:
+        argv += ["--max-n", draw(NUMBERS)]
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--allow-known")
+    if command == "bench":
+        for option in ("--methods", "--known"):
+            if draw(st.booleans()):
+                argv.append("%s=%s" % (option, ",".join(draw(st.lists(NAMES, max_size=4)))))
+    argv += ["--format", draw(st.sampled_from(FORMATS))]
+    if draw(st.booleans()):
+        stray = st.one_of(st.text(max_size=6), st.sampled_from(["-h", "--he", "--", "-1/2"]))
+        argv.insert(draw(st.integers(0, len(argv))), draw(stray))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs(), cap=st.integers(0, 24))
+def test_every_argv_ends_in_a_documented_exit(argv, cap):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"BERNSTIR_MAX_N": str(cap)}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 64)
+    message = err.getvalue()
+    if code == 64:
+        assert message.startswith("error: ") and message.endswith("\n")
+        assert len(message.splitlines()) == 1, message
+    else:
+        assert message == ""
 
 
 def test_env_cap(capsys, monkeypatch):
