@@ -5,7 +5,9 @@ Commands: bernoulli, stirling, bell, verify, bench.  Every command accepts
 64 usage error.  A usage error is an argument argparse rejects, an index
 past the cap, an unknown method name, or a ValueError the library raises on
 the given arguments (such as `bell 2 4` or `verify --max-n 0`); each prints
-one line, `error: <message>`, on stderr.
+one line, `error: <message>`, on stderr.  An index argument (`bernoulli N`,
+`bell N K`, `--max-n`) is ASCII digits with an optional sign; argparse
+rejects any other token, `1_0` and non-ASCII digits included.
 
 `verify` and `bench` run one cross-check handler over `cross_verify`:
 verify renders each entry's agreement with the oracle, bench the time its
@@ -49,6 +51,7 @@ EXIT_USAGE = 64
 DEFAULT_CAP = 10000
 FORMATS = ("plain", "json", "csv")
 METHOD_NAMES = tuple(m.value for m in Method)
+INDEX = re.compile(r"[+-]?[0-9]+")
 KNOWN = tuple(m.value for m in Method if ROUTES[m].known_discrepancy)
 
 # The stirling dump per format: (head, row template, separator, tail).  A row
@@ -109,6 +112,18 @@ def render_csv(header: str, rows: Iterable[Sequence]) -> str:
     lines = [header]
     lines.extend(",".join(str(field) for field in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _index(text: str) -> int:
+    """The argparse type of every index argument: an optional sign and ASCII
+    digits, nothing else.  int() alone also takes `1_0`, blanks around the
+    digits and non-ASCII digits such as the Arabic-Indic ones."""
+    try:
+        if INDEX.fullmatch(text):
+            return int(text)
+    except ValueError:  # past the int-to-str digit limit
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
 def _parse_method(name: str) -> Method:
@@ -236,20 +251,20 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=FORMATS, default="plain")
 
     p = sub.add_parser("bernoulli", help="compute B_n by one method or all")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_index)
     p.add_argument("--method", default="all", metavar="NAME",
                    help="one of %s, or all" % (", ".join(METHOD_NAMES)))
     add_format(p)
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("stirling", help="dump the S(n, k) triangle")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_index, required=True, dest="max_n")
     add_format(p)
     p.set_defaults(func=cmd_stirling)
 
     p = sub.add_parser("bell", help="evaluate B_{n,k}(x_1, ..., x_{n-k+1})")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=_index)
+    p.add_argument("k", type=_index)
     p.add_argument("--args", required=True,
                    help="comma-separated rationals, e.g. 1/2,1/3,1/4")
     p.add_argument("--evaluator", choices=("recurrence", "partition-sum"),
@@ -258,7 +273,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("verify", help="cross-verify all methods against the oracle")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_index, required=True, dest="max_n")
     p.add_argument("--allow-known", action="store_const", const=KNOWN, default=(),
                    dest="known",
                    help="do not fail on the documented '%s' discrepancy" % "', '".join(KNOWN))
@@ -266,7 +281,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify, methods=tuple(Method))
 
     p = sub.add_parser("bench", help="time every method per index against the oracle")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_index, required=True, dest="max_n")
     p.add_argument("--methods", type=_method_list, default="",
                    help="comma-separated subset of methods (default: all)")
     p.add_argument("--known", type=_method_list, default=",".join(KNOWN),

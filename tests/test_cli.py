@@ -257,6 +257,30 @@ def test_bernoulli_rejects_a_negative_index(capsys, argv):
     assert run_cli(capsys, *argv) == (64, "", "error: n must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "1\u0660", " 7", "7 ", "7\n", "0x10", "1.0", "+", ""])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("bernoulli", "{}", "--method", "oracle"), "n"),
+        (("bell", "{}", "1", "--args", "1"), "n"),
+        (("bell", "2", "{}", "--args", "1"), "k"),
+        (("stirling", "--max-n", "{}"), "--max-n"),
+        (("verify", "--max-n", "{}"), "--max-n"),
+        (("bench", "--max-n", "{}"), "--max-n"),
+    ],
+)
+def test_index_arguments_take_ascii_digits_only(capsys, token, argv, name):
+    # int() alone would read `1_0` as 10 and the Arabic-Indic digit 3 as 3
+    argv = [arg.format(token) for arg in argv]
+    message = "error: argument %s: invalid int value: %r\n" % (name, token)
+    assert run_cli(capsys, *argv) == (64, "", message)
+
+
+@pytest.mark.parametrize("token, value", [("+4", "-1/30"), ("-0", "1"), ("0004", "-1/30")])
+def test_index_arguments_take_a_sign_and_leading_zeros(capsys, token, value):
+    assert run_cli(capsys, "bernoulli", token, "--method", "oracle") == (0, value + "\n", "")
+
+
 NUMBERS = st.one_of(
     st.integers(-30, 30).map(str),
     st.sampled_from(["", "x", "1.5", "1e3", "--1", "0x10", "9" * 40, " 7", "\u0663", "1_0"]),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,20 @@ def test_bernoulli_series_equals_fraction_long_division():
     assert bernoulli_series(200) == reference
 
 
+def test_bernoulli_series_equals_library_reciprocal():
+    # j! times the coefficients of the reciprocal of sum_j t^j/(j+1)!
+    for n in range(81):
+        g = TruncatedSeries([Fraction(1, factorial(j + 1)) for j in range(n + 1)])
+        expected = [c * factorial(j) for j, c in enumerate(g.reciprocal().coeffs)]
+        assert bernoulli_series(n) == expected, n
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 2), (2, 7), (6, 7), (12, 61), (60, 61), (97, 230)])
+def test_bernoulli_series_prefix_is_stable(n, m):
+    # a longer division reproduces the shorter one: no value depends on order
+    assert bernoulli_series(n) == bernoulli_series(m)[: n + 1]
+
+
 def _primes_upto(limit):
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
@@ -127,15 +142,15 @@ def _primes_upto(limit):
     return [p for p in range(limit + 1) if sieve[p]]
 
 
-def test_bernoulli_series_structure_to_300():
+def test_bernoulli_series_structure_to_600():
     # checks that read neither the series code nor any route
-    series = bernoulli_series(300)
-    primes = _primes_upto(301)
+    series = bernoulli_series(600)
+    primes = _primes_upto(601)
     assert series[0] == 1
     assert series[1] == Fraction(-1, 2)
-    for n in range(3, 301, 2):
+    for n in range(3, 601, 2):
         assert series[n] == 0, n
-    for n in range(2, 301, 2):
+    for n in range(2, 601, 2):
         value = series[n]
         assert (value > 0) == ((n // 2) % 2 == 1), n  # sign (-1)^(n/2+1)
         denominator = 1
