@@ -30,6 +30,8 @@ class Method(enum.Enum):
     """One entry per computation route; values are the CLI/JSON wire names,
     declared in wire-name order so that iterating lists them sorted."""
 
+    __hash__ = object.__hash__  # members are singletons compared by identity
+
     ALTERNATING = "alternating"
     BELL = "bell"
     DOUBLE_STIRLING = "double-stirling"
@@ -43,6 +45,8 @@ class Reads(enum.Enum):
     """The Stirling cells a route reads at index n: a diagonal of S, two
     rows of S, or a diagonal of the 2-associated numbers S_2 (partitions
     into blocks of size at least 2)."""
+
+    __hash__ = object.__hash__  # members are singletons compared by identity
 
     DIAGONAL = "diagonal"  # S(n+i, i) for i = 0..n
     ROWS = "rows"  # rows n and n+1 of the triangle
@@ -184,20 +188,20 @@ def bernoulli_logan(n: int, row: Sequence[int]) -> Fraction:
     return Fraction(total, lcm)
 
 
-def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
+def power_sum_numerators(p: int) -> tuple[int, ...]:
     """The coefficients A_0..A_{p+1} of the polynomial identity
-    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m (so A_0 = 0 always).
+    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m (so A_0 = 0 always), as the
+    integers L! A_m over the one denominator L! = (p+1)!.
 
-    Evaluating both sides at n = 0..p+1 pins the unique coefficient vector
+    Evaluating both sides at n = 0..L pins the unique coefficient vector
     (a Vandermonde system on distinct nodes); it is solved exactly by Newton
     interpolation on those nodes.  No Bernoulli numbers are involved, so the
     recursion built on top of this stays non-circular.
 
-    The work stays in integers: on the nodes 0..L (L = p+1) the Newton form
-    is sum_l (Delta^l y_0 / l!) x(x-1)...(x-l+1), so scaling by L! makes
-    every weight Delta^l y_0 * L!/l! an integer.  The forward differences
-    and the expansion into monomials are integer arithmetic, and each
-    coefficient becomes a Fraction over L! only at the end.
+    The work stays in integers: on the nodes 0..L the Newton form is
+    sum_l (Delta^l y_0 / l!) x(x-1)...(x-l+1), so scaling by L! makes every
+    weight Delta^l y_0 * L!/l! an integer.  The forward differences and the
+    expansion into monomials are integer arithmetic.
     """
     if p < 0:
         raise ValueError("exponent must be >= 0, got %d" % p)
@@ -221,7 +225,16 @@ def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
             nxt[m] -= j * c
         nxt[0] += diffs[j] * scale
         poly = nxt
-    return tuple(Fraction(c, scale) for c in poly)  # scale is L!
+    return tuple(poly)
+
+
+def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
+    """The coefficients A_0..A_{p+1} of the polynomial identity
+    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m, as reduced Fractions:
+    `power_sum_numerators(p)` over (p+1)!."""
+    numerators = power_sum_numerators(p)
+    scale = math.factorial(p + 1)
+    return tuple(Fraction(c, scale) for c in numerators)
 
 
 def bernoulli_guo_qi(k: int) -> Fraction:
@@ -231,25 +244,24 @@ def bernoulli_guo_qi(k: int) -> Fraction:
     choice is the one that reproduces B_4, B_6, ... exactly (exponent 2k does
     not), and the cross-verification suite revalidates it at every even index.
 
-    Summed in integers: the tail sum_m A_m/(m+1) over m = 2, 4, ..., 2k-2
-    is kept as one numerator over the lcm of the denominators seen so far,
-    and 1/2 - 1/(2k+1) = (2k-1)/(2(2k+1)) joins it over their lcm at the
-    end.  Ascending m takes the large numerators while that lcm is small.
+    Summed in integers: A_m = c_m/L! with L = 2k and c_m from
+    `power_sum_numerators`, so the tail sum_m A_m/(m+1) over
+    m = 2, 4, ..., 2k-2 is sum_m c_m (M/(m+1)) over the one denominator
+    L! M, where M = lcm(3, 5, ..., 2k-1).  1/2 - 1/(2k+1) = (2k-1)/(2(2k+1))
+    joins it over 2(2k+1) L! M, and the value is one Fraction.
     """
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     n = 2 * k
-    total, common = 0, 1  # the tail is total/common
+    tail, common = 0, 1  # the tail is tail/common
     if k > 1:
-        coeffs = power_sum_coeffs(n - 1)
+        coeffs = power_sum_numerators(n - 1)
+        lcm = math.lcm(*range(3, n, 2))
         for m in range(2, n - 1, 2):
-            den = coeffs[m].denominator * (m + 1)
-            g = math.gcd(common, den)
-            total = total * (den // g) + coeffs[m].numerator * (common // g)
-            common *= den // g
+            tail += coeffs[m] * (lcm // (m + 1))
+        common = math.factorial(n) * lcm
     head = 2 * (n + 1)
-    q = math.lcm(common, head)
-    return Fraction((n - 1) * (q // head) - n * total * (q // common), q)
+    return Fraction((n - 1) * common - n * head * tail, head * common)
 
 
 def bernoulli_double_stirling(k: int, rows: Sequence[Sequence[int]]) -> Fraction:

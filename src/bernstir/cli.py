@@ -25,7 +25,9 @@ early is not an error: the command keeps its exit code (0 for `stirling`)
 and prints nothing on stderr.
 
 The environment variable BERNSTIR_MAX_N caps any requested index (default
-10000) so a typo cannot start a runaway job.
+10000) so a typo cannot start a runaway job.  Its value follows the rule of
+the index arguments and must not be negative; any other value is a usage
+error.
 """
 
 from __future__ import annotations
@@ -87,13 +89,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap() -> int:
-    raw = os.environ.get("BERNSTIR_MAX_N", "").strip()
+    """BERNSTIR_MAX_N, read by the rule of the index arguments; unset or
+    empty, it is DEFAULT_CAP."""
+    raw = os.environ.get("BERNSTIR_MAX_N", "")
     if not raw:
         return DEFAULT_CAP
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError("BERNSTIR_MAX_N must be an integer, got %r" % raw) from None
+        cap = _index(raw)
+    except argparse.ArgumentTypeError:
+        cap = None
+    if cap is None or cap < 0:
+        raise UsageError("BERNSTIR_MAX_N must be an integer >= 0, got %r" % raw)
+    return cap
 
 
 def _check_cap(value: int, name: str) -> None:

@@ -10,11 +10,15 @@ closed form.
 
 Mismatches are data, not errors: they land in the report, tallied as
 "unexpected" unless their method is on the caller's known-discrepancy list.
+
+A report renders as JSON from fixed `%` templates whose output equals
+``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"`` byte for
+byte; every string in it is a wire name or a rational, so nothing needs
+escaping.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from collections import Counter
@@ -38,6 +42,29 @@ IDENTITY_ZERO_ONE = "zero-one"
 IDENTITY_RECIPROCAL = "reciprocal"
 IDENTITY_SCALING = "scaling"
 IDENTITY_EGF = "egf"
+
+# The JSON report, rendered as json.dumps(to_dict(), sort_keys=True, indent=2)
+# would: each template is one object or pair at its nesting depth, with its
+# keys in sorted order.  Items of a list or object are joined by ",\n".
+REPORT_JSON = '{\n  "entries": %s,\n  "max_n": %d,\n  "summary": %s\n}\n'
+ENTRY_JSON = (
+    '    {\n      "agrees_with_oracle": %s,\n      "method": "%s",\n'
+    '      "n": %d,\n      "value": %s\n    }'
+)
+PAIR_JSON = '      [\n        %d,\n        "%s"\n      ]'
+SUMMARY_JSON = (
+    '{\n    "checked": %d,\n%s    "known_discrepancies": %s,\n'
+    '    "mismatches": %s\n  }'
+)
+IDENTITIES_JSON = '    "identities": {\n%s\n    },\n'
+IDENTITY_JSON = '      "%s": {\n        "checked": %d,\n        "passed": %d\n      }'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """The rendered `items` as a JSON list whose "]" is indented by `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 @dataclass(frozen=True)
@@ -97,7 +124,31 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """`to_dict()` as JSON, rendered from the fixed templates above: equal
+        to ``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+        entries = [
+            ENTRY_JSON
+            % (
+                "true" if e.agrees_with_oracle else "false",
+                e.method,
+                e.n,
+                "null" if e.value is None else '"%s"' % format_rational(e.value),
+            )
+            for e in self.entries
+        ]
+        identities = ""
+        if self.identity_counts:
+            counts = {name: (c, p) for name, c, p in self.identity_counts}
+            identities = IDENTITIES_JSON % ",\n".join(
+                IDENTITY_JSON % (name, *counts[name]) for name in sorted(counts)
+            )
+        summary = SUMMARY_JSON % (
+            self.checked,
+            identities,
+            _json_list([PAIR_JSON % pair for pair in self.known_discrepancies], "    "),
+            _json_list([PAIR_JSON % pair for pair in self.mismatches], "    "),
+        )
+        return REPORT_JSON % (_json_list(entries, "  "), self.max_n, summary)
 
     def to_table(self) -> str:
         """Human-readable table plus a summary block."""

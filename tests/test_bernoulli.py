@@ -123,8 +123,15 @@ def test_power_sum_polynomial_identity():
 
 
 def test_power_sum_matches_fraction_solver():
-    for p in range(41):
+    for p in range(81):
         assert power_sum_coeffs(p) == power_sum_coeffs_fraction(p), p
+
+
+def test_guo_qi_equals_the_fraction_transcription_on_fraction_coefficients():
+    # the whole route, integer core included, against Fraction arithmetic only
+    for k in range(1, 151):
+        coeffs = power_sum_coeffs_fraction(2 * k - 1)
+        assert bernoulli_guo_qi(k) == guo_qi_fraction(k, coeffs), k
 
 
 def test_guo_qi_known_values():

@@ -318,11 +318,19 @@ def argvs(draw):
     return argv
 
 
+# BERNSTIR_MAX_N values: small caps, the default (empty) and rejected ones.
+# No cap reaches the 40-digit index NUMBERS may draw, so no run is long.
+CAPS = st.one_of(
+    st.integers(0, 24).map(str),
+    st.sampled_from(["", "+7", "-0", "-5", "1_0", "\u0663", " 7", "7 ", "x", "9" * 5000]),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(argv=argvs(), cap=st.integers(0, 24))
+@given(argv=argvs(), cap=CAPS)
 def test_every_argv_ends_in_a_documented_exit(argv, cap):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"BERNSTIR_MAX_N": str(cap)}):
+    with mock.patch.dict(os.environ, {"BERNSTIR_MAX_N": cap}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 64)
@@ -347,6 +355,27 @@ def test_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("BERNSTIR_MAX_N", "not-a-number")
     code, _, err = run_cli(capsys, "stirling", "--max-n", "3")
     assert code == 64
+    monkeypatch.setenv("BERNSTIR_MAX_N", "")
+    code, _, _ = run_cli(capsys, "bernoulli", "6", "--method", "oracle")
+    assert code == 0
+
+
+@pytest.mark.parametrize("cap", ["1_0", "\u0663", "-5", " 7", "7\n", "9" * 5000])
+def test_env_cap_takes_the_index_rule(capsys, monkeypatch, cap):
+    # the cap reads its value as the index arguments do, and is never negative
+    monkeypatch.setenv("BERNSTIR_MAX_N", cap)
+    code, out, err = run_cli(capsys, "bernoulli", "0", "--method", "oracle")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: BERNSTIR_MAX_N must be an integer >= 0")
+    assert len(err.splitlines()) == 1
+
+
+def test_env_cap_takes_a_sign(capsys, monkeypatch):
+    monkeypatch.setenv("BERNSTIR_MAX_N", "+10")
+    assert run_cli(capsys, "bernoulli", "10", "--method", "oracle") == (0, "5/66\n", "")
+    monkeypatch.setenv("BERNSTIR_MAX_N", "-0")
+    assert run_cli(capsys, "bernoulli", "0", "--method", "oracle") == (0, "1\n", "")
 
 
 def test_usage_errors(capsys):

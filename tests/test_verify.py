@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from bernstir.bell import bell_scaling_identity_lhs_rhs
-from bernstir.bernoulli import supported_methods
-from bernstir.verify import cross_verify, identity_suite
+from bernstir.bernoulli import Method, supported_methods
+from bernstir.verify import ReportEntry, VerificationReport, cross_verify, identity_suite
 
 
 def expected_entry_count(max_n):
@@ -142,3 +143,61 @@ def test_report_serialization_shape():
     table = report.to_table()
     assert "2 alternating 1/3 NO" in table
     assert "known discrepancies: (2, alternating)" in table
+
+
+def dumped(report):
+    """The reference rendering that `to_json` reproduces from templates."""
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("known", [(), ("alternating",)])
+def test_to_json_equals_json_dumps(known):
+    for max_n in range(1, 41):
+        report = cross_verify(max_n, known)
+        assert report.to_json() == dumped(report), max_n
+
+
+def test_to_json_equals_json_dumps_with_mismatches():
+    report = cross_verify(8, methods=(Method.ALTERNATING, Method.ORACLE, Method.GUO_QI))
+    assert report.mismatches == tuple((n, "alternating") for n in (2, 4, 6, 8))
+    assert report.to_json() == dumped(report)
+
+
+def test_to_json_equals_json_dumps_with_empty_lists():
+    report = cross_verify(5, methods=(Method.THEOREM,))
+    assert report.mismatches == report.known_discrepancies == ()
+    assert report.to_json() == dumped(report)
+    empty = VerificationReport(
+        max_n=1, entries=(), checked=0, mismatches=(), known_discrepancies=()
+    )
+    assert empty.to_json() == dumped(empty)
+
+
+def test_to_json_equals_json_dumps_for_identity_reports():
+    report = identity_suite(8, 20, 1)
+    assert report.identity_counts
+    assert report.to_json() == dumped(report)
+    # a failed identity, null values and unsorted counts render as json.dumps does
+    failed = VerificationReport(
+        max_n=3,
+        entries=(ReportEntry(3, "scaling", None, False), ReportEntry(3, "egf", None, True)),
+        checked=5,
+        mismatches=((3, "scaling"),),
+        known_discrepancies=(),
+        identity_counts=(("scaling", 3, 2), ("egf", 2, 2)),
+    )
+    assert failed.to_json() == dumped(failed)
+
+
+def test_to_json_renders_values_past_the_digit_limit():
+    value = Fraction(-(10**5000) - 1, 3)
+    report = VerificationReport(
+        max_n=7,
+        entries=(ReportEntry(7, "theorem", value, True),),
+        checked=1,
+        mismatches=(),
+        known_discrepancies=(),
+    )
+    text = report.to_json()
+    assert text == dumped(report)
+    assert json.loads(text)["entries"][0]["value"] == "-1" + "0" * 4999 + "1/3"
