@@ -18,9 +18,8 @@ import collections
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .series import bernoulli_series
 from .stirling import associated_diagonals, check_cells, stirling_diagonals, stirling_rows
@@ -56,8 +55,7 @@ class Reads(enum.Enum):
 Cells = dict[Reads, Any]  # one item of stirling_cells: the cells per spec
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One method: B_n is defined for n >= `first` (even n only when
     `even_only`), reads the Stirling cells `reads` (None: no Stirling
     numbers), and is `compute(n, cells)` on those cells."""

@@ -13,10 +13,14 @@ rejects any other token, `1_0` and non-ASCII digits included.
 verify renders each entry's agreement with the oracle, bench the time its
 method took.  bench takes any --max-n that verify takes, 1 included.
 
-JSON value records follow {"n": int, "method": str, "value": "p/q"}; values
-are always exact "p"/"p/q" strings so nothing passes through floating
-point, and documents re-render byte-identically after a parse.  CSV emits
-unquoted fields (every field is sign/digits/slash/letters only).
+Every command's records, `VerificationReport.to_json` and `to_table`
+included, render from one table of `%` templates, RECORDS, keyed by record
+kind and format; each row of records is filled by one `%`.  JSON value
+records follow {"n": int, "method": str, "value": "p/q"}; values are always
+exact "p"/"p/q" strings so nothing passes through floating point.  JSON
+output equals json.dumps(records, sort_keys=True, indent=2) + "\n", which
+only the tests run, so documents re-render byte-identically after a parse.
+CSV emits unquoted fields (every field is sign/digits/slash/letters only).
 
 `stirling` streams the triangle: it computes, renders and writes one row
 at a time, so it holds one row in memory whatever --max-n is.  Every other
@@ -34,11 +38,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
 from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
@@ -56,17 +59,69 @@ METHOD_NAMES = tuple(m.value for m in Method)
 INDEX = re.compile(r"[+-]?[0-9]+")
 KNOWN = tuple(m.value for m in Method if ROUTES[m].known_discrepancy)
 
-# The stirling dump per format: (head, row template, separator, tail).  A row
-# template takes n and gives the template of one cell (k, S(n, k)) of row n;
-# cells are joined by the separator, within a row and across rows.  The json
-# cells reproduce json.dumps(records, sort_keys=True, indent=2) for records
-# {"n": n, "k": k, "value": "S(n, k)"}; values are digits only, so nothing
-# needs escaping.
-STIRLING_FORMATS = {
-    "plain": ("", "%d %%d %%s\n", "", ""),
-    "csv": ("n,k,value\n", "%d,%%d,%%s\n", "", ""),
-    "json": ("[\n", '  {\n    "k": %%d,\n    "n": %d,\n    "value": "%%s"\n  }', ",\n", "\n]\n"),
+# Every command's records as text, per record kind and format: (head,
+# record, separator, tail, fields).  `render` writes the head, then one copy
+# of the record template per record, joined by the separator and filled by
+# one `%` with each record's `fields` (positions in its tuple) in turn, then
+# the tail.  A json object template lists its keys sorted, at its depth, so
+# json output equals json.dumps(..., sort_keys=True, indent=2); every string
+# in it is a wire name or a rational, so nothing needs escaping.
+RECORDS = {
+    # (n, method, value): B_n by every method
+    "bernoulli": {
+        "plain": ("", "%s %s\n", "", "", (1, 2)),
+        "csv": ("n,method,value\n", "%d,%s,%s\n", "", "", range(3)),
+        "json": ("[\n", '  {\n    "method": "%s",\n    "n": %d,\n    "value": "%s"\n  }',
+                 ",\n", "\n]\n", (1, 0, 2)),
+    },
+    # (n, k, value): one Bell value, printed alone in plain
+    "bell": {
+        "plain": ("", "%s\n", "", "", (2,)),
+        "csv": ("n,k,value\n", "%d,%d,%s\n", "", "", range(3)),
+        "json": ("[\n", '  {\n    "k": %d,\n    "n": %d,\n    "value": "%s"\n  }',
+                 ",\n", "\n]\n", (1, 0, 2)),
+    },
+    # row n of the triangle: filled with n first, then its cells take (k, S(n, k))
+    "stirling": {
+        "plain": ("", "%d %%d %%s\n", "", "", None),
+        "csv": ("n,k,value\n", "%d,%%d,%%s\n", "", "", None),
+        "json": ("[\n", '  {\n    "k": %%d,\n    "n": %d,\n    "value": "%%s"\n  }',
+                 ",\n", "\n]\n", None),
+    },
+    # (n, method, value, micros): bench
+    "bench": {
+        "plain": ("", "%d %s %s %dus\n", "", "", range(4)),
+        "csv": ("n,method,value,micros\n", "%d,%s,%s,%d\n", "", "", range(4)),
+        "json": ("[\n", '  {\n    "method": "%s",\n    "micros": %d,\n    "n": %d,\n'
+                 '    "value": "%s"\n  }', ",\n", "\n]\n", (1, 3, 0, 2)),
+    },
+    # (n, method, value, agrees): a verify report's entries, json literals in json
+    "entry": {
+        "plain": ("n method value agrees\n", "%d %s %s %s\n", "", "", range(4)),
+        "csv": ("n,method,value,agrees\n", "%d,%s,%s,%s\n", "", "", range(4)),
+        "json": ("[\n", '    {\n      "agrees_with_oracle": %s,\n      "method": "%s",\n'
+                 '      "n": %d,\n      "value": %s\n    }', ",\n", "\n  ]", (3, 1, 0, 2)),
+    },
+    # (n, method): a report's mismatch or known discrepancy
+    "pair": {
+        "plain": ("", "(%d, %s)", ", ", "", range(2)),
+        "json": ("[\n", '      [\n        %d,\n        "%s"\n      ]', ",\n", "\n    ]", range(2)),
+    },
+    # (identity, instances checked, instances passed)
+    "identity": {
+        "plain": ("", "identity %s: %d/%d passed\n", "", "", (0, 2, 1)),
+        "json": ('    "identities": {\n', '      "%s": {\n        "checked": %d,\n'
+                 '        "passed": %d\n      }', ",\n", "\n    },\n", range(3)),
+    },
+    # (entries, max_n, checked, identities, known, mismatches), each part rendered
+    "report": {
+        "json": ("", '{\n  "entries": %s,\n  "max_n": %d,\n  "summary": {\n    "checked": %d,\n%s'
+                 '    "known_discrepancies": %s,\n    "mismatches": %s\n  }\n}\n',
+                 "", "", range(6)),
+    },
 }
+# one method prints its value alone
+RECORDS["method"] = {**RECORDS["bernoulli"], "plain": RECORDS["bell"]["plain"]}
 
 # What a command hands to main(): its output in chunks, and its exit code.
 Output = tuple[Iterable[str], int]
@@ -111,16 +166,6 @@ def _check_cap(value: int, name: str) -> None:
         )
 
 
-def render_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def render_csv(header: str, rows: Iterable[Sequence]) -> str:
-    lines = [header]
-    lines.extend(",".join(str(field) for field in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _index(text: str) -> int:
     """The argparse type of every index argument: an optional sign and ASCII
     digits, nothing else.  int() alone also takes `1_0`, blanks around the
@@ -156,14 +201,13 @@ def _method_list(text: str) -> list[Method]:
     return methods
 
 
-def _render(fmt: str, keys: Sequence[str], rows: list[tuple], plain: Callable[[], str]) -> str:
-    """Records `rows` with fields `keys` as a json list of objects, as csv
-    under the header `keys`, or as the text `plain()`."""
-    if fmt == "json":
-        return render_json([dict(zip(keys, row)) for row in rows])
-    if fmt == "csv":
-        return render_csv(",".join(keys), rows)
-    return plain()
+def render(kind: str, fmt: str, records: Sequence[tuple]) -> str:
+    """`records` of `kind` as a `fmt` document, filled by one `%`."""
+    head, record, sep, tail, fields = RECORDS[kind][fmt]
+    if not records and fmt == "json":  # an empty list is "[]" in json
+        return "[" + tail.lstrip()
+    body = sep.join([record] * len(records)) % tuple([r[i] for r in records for i in fields])
+    return head + body + tail
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> Output:
@@ -173,17 +217,11 @@ def cmd_bernoulli(args: argparse.Namespace) -> Output:
         defined = supported_methods(n)
         cells = cells_at(n, defined)
         values = {m: format_rational(bernoulli(n, m, cells=cells)) for m in defined}
-        rows = [(n, m.value, values.get(m, "unsupported")) for m in Method]
+        kind, rows = "bernoulli", [(n, m.value, values.get(m, "unsupported")) for m in Method]
     else:
         method = _parse_method(args.method)
-        rows = [(n, method.value, format_rational(bernoulli(n, method)))]
-
-    def plain() -> str:  # one method prints its value alone
-        if len(rows) == 1:
-            return rows[0][2] + "\n"
-        return "".join("%s %s\n" % row[1:] for row in rows)
-
-    return (_render(args.format, ("n", "method", "value"), rows, plain),), EXIT_OK
+        kind, rows = "method", [(n, method.value, format_rational(bernoulli(n, method)))]
+    return (render(kind, args.format, rows),), EXIT_OK
 
 
 def cmd_stirling(args: argparse.Namespace) -> Output:
@@ -195,15 +233,20 @@ def cmd_stirling(args: argparse.Namespace) -> Output:
 
 
 def _stirling_chunks(max_n: int, fmt: str) -> Iterator[str]:
-    """The dump as one chunk per row of the triangle, then its tail."""
-    head, row_template, sep, tail = STIRLING_FORMATS[fmt]
+    """The dump as one chunk per row of the triangle, then its tail; each
+    row is one `%` on the interleaved cells (k, S(n, k))."""
+    head, record, sep, tail, _ = RECORDS["stirling"][fmt]
     lead = head
     for n, row in enumerate(stirling_rows(max_n)):
-        cell = row_template % n
+        template = sep.join([record % n] * (n + 1))
+        cells = [0] * (2 * n + 2)
+        cells[::2] = range(n + 1)
+        cells[1::2] = row
         try:
-            text = sep.join([cell % kv for kv in enumerate(row)])
+            text = template % tuple(cells)
         except ValueError:  # a value past the int-to-str digit limit
-            text = sep.join([cell % (k, format_rational(v)) for k, v in enumerate(row)])
+            cells[1::2] = map(format_rational, row)
+            text = template % tuple(cells)
         yield lead + text
         lead = sep
     yield tail
@@ -215,8 +258,7 @@ def cmd_bell(args: argparse.Namespace) -> Output:
     xs = [parse_rational(token) for token in args.args.split(",")]
     evaluate = bell_partition_sum if args.evaluator == "partition-sum" else bell_recurrence
     value = format_rational(evaluate(n, k, xs))
-    text = _render(args.format, ("n", "k", "value"), [(n, k, value)], lambda: value + "\n")
-    return (text,), EXIT_OK
+    return (render("bell", args.format, [(n, k, value)]),), EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> Output:
@@ -231,20 +273,15 @@ def cmd_verify(args: argparse.Namespace) -> Output:
             (e.n, e.method, format_rational(e.value), e.elapsed_ns // 1000)
             for e in report.entries
         ]
-        text = _render(
-            args.format,
-            ("n", "method", "value", "micros"),
-            rows,
-            lambda: "".join("%d %s %s %dus\n" % row for row in rows),
-        )
-    elif args.format == "json":
-        text = report.to_json()
-    else:
+        text = render("bench", args.format, rows)
+    elif args.format == "csv":
         rows = [
             (e.n, e.method, format_rational(e.value), "yes" if e.agrees_with_oracle else "no")
             for e in report.entries
         ]
-        text = _render(args.format, ("n", "method", "value", "agrees"), rows, report.to_table)
+        text = render("entry", "csv", rows)
+    else:
+        text = report.to_json() if args.format == "json" else report.to_table()
     return (text,), code
 
 

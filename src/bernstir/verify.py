@@ -11,10 +11,10 @@ closed form.
 Mismatches are data, not errors: they land in the report, tallied as
 "unexpected" unless their method is on the caller's known-discrepancy list.
 
-A report renders as JSON from fixed `%` templates whose output equals
+A report renders from the command line's one template table,
+``cli.RECORDS``: as text, and as JSON equal to
 ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"`` byte for
-byte; every string in it is a wire name or a rational, so nothing needs
-escaping.
+byte, with json.dumps kept as the tests' reference only.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .bell import (
     bell_partition_sum,
@@ -43,32 +42,8 @@ IDENTITY_RECIPROCAL = "reciprocal"
 IDENTITY_SCALING = "scaling"
 IDENTITY_EGF = "egf"
 
-# The JSON report, rendered as json.dumps(to_dict(), sort_keys=True, indent=2)
-# would: each template is one object or pair at its nesting depth, with its
-# keys in sorted order.  Items of a list or object are joined by ",\n".
-REPORT_JSON = '{\n  "entries": %s,\n  "max_n": %d,\n  "summary": %s\n}\n'
-ENTRY_JSON = (
-    '    {\n      "agrees_with_oracle": %s,\n      "method": "%s",\n'
-    '      "n": %d,\n      "value": %s\n    }'
-)
-PAIR_JSON = '      [\n        %d,\n        "%s"\n      ]'
-SUMMARY_JSON = (
-    '{\n    "checked": %d,\n%s    "known_discrepancies": %s,\n'
-    '    "mismatches": %s\n  }'
-)
-IDENTITIES_JSON = '    "identities": {\n%s\n    },\n'
-IDENTITY_JSON = '      "%s": {\n        "checked": %d,\n        "passed": %d\n      }'
 
-
-def _json_list(items: list[str], indent: str) -> str:
-    """The rendered `items` as a JSON list whose "]" is indented by `indent`."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     """One (n, method) check.  `value` is None for identity rows, which
     aggregate several argument instances and have no single rational value.
     `elapsed_ns` is timing only: it takes no part in equality or rendering."""
@@ -77,104 +52,89 @@ class ReportEntry:
     method: str
     value: Fraction | None
     agrees_with_oracle: bool
-    elapsed_ns: int = field(default=0, compare=False)
+    elapsed_ns: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "method": self.method,
-            "value": None if self.value is None else format_rational(self.value),
-            "agrees_with_oracle": self.agrees_with_oracle,
-        }
+    def __eq__(self, other):
+        return self[:4] == other[:4] if isinstance(other, ReportEntry) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_n: int
     entries: tuple[ReportEntry, ...]
     checked: int
     mismatches: tuple[tuple[int, str], ...]
     known_discrepancies: tuple[tuple[int, str], ...]
     # (identity, instances checked, instances passed); only identity_suite fills this
-    identity_counts: tuple[tuple[str, int, int], ...] = field(default=())
+    identity_counts: tuple[tuple[str, int, int], ...] = ()
 
     @property
     def ok(self) -> bool:
         """True when there is no unexpected mismatch."""
         return not self.mismatches
 
-    def summary(self) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        summary = {
             "checked": self.checked,
             "mismatches": [[n, m] for n, m in self.mismatches],
             "known_discrepancies": [[n, m] for n, m in self.known_discrepancies],
         }
         if self.identity_counts:
-            out["identities"] = {
-                name: {"checked": c, "passed": p}
-                for name, c, p in self.identity_counts
+            summary["identities"] = {
+                name: {"checked": c, "passed": p} for name, c, p in self.identity_counts
             }
-        return out
-
-    def to_dict(self) -> dict:
         return {
             "max_n": self.max_n,
-            "entries": [e.to_dict() for e in self.entries],
-            "summary": self.summary(),
+            "entries": [
+                {"n": e.n, "method": e.method, "agrees_with_oracle": e.agrees_with_oracle,
+                 "value": None if e.value is None else format_rational(e.value)}
+                for e in self.entries
+            ],
+            "summary": summary,
         }
 
     def to_json(self) -> str:
-        """`to_dict()` as JSON, rendered from the fixed templates above: equal
-        to ``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+        """`to_dict()` as JSON, filled from `cli.RECORDS`: equal to
+        ``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+        from .cli import render  # cli imports this module
+
         entries = [
-            ENTRY_JSON
-            % (
-                "true" if e.agrees_with_oracle else "false",
-                e.method,
-                e.n,
-                "null" if e.value is None else '"%s"' % format_rational(e.value),
-            )
+            (e.n, e.method, "null" if e.value is None else '"%s"' % format_rational(e.value),
+             "true" if e.agrees_with_oracle else "false")
             for e in self.entries
         ]
-        identities = ""
-        if self.identity_counts:
-            counts = {name: (c, p) for name, c, p in self.identity_counts}
-            identities = IDENTITIES_JSON % ",\n".join(
-                IDENTITY_JSON % (name, *counts[name]) for name in sorted(counts)
-            )
-        summary = SUMMARY_JSON % (
+        counts = sorted(self.identity_counts)
+        report = (
+            render("entry", "json", entries),
+            self.max_n,
             self.checked,
-            identities,
-            _json_list([PAIR_JSON % pair for pair in self.known_discrepancies], "    "),
-            _json_list([PAIR_JSON % pair for pair in self.mismatches], "    "),
+            render("identity", "json", counts) if counts else "",
+            render("pair", "json", self.known_discrepancies),
+            render("pair", "json", self.mismatches),
         )
-        return REPORT_JSON % (_json_list(entries, "  "), self.max_n, summary)
+        return render("report", "json", [report])
 
     def to_table(self) -> str:
         """Human-readable table plus a summary block."""
-        lines = ["n method value agrees"]
-        for e in self.entries:
-            value = "-" if e.value is None else format_rational(e.value)
-            lines.append(
-                "%d %s %s %s" % (e.n, e.method, value, "yes" if e.agrees_with_oracle else "NO")
-            )
-        lines.append("")
-        lines.append("checked: %d" % self.checked)
-        for name, count, passed in self.identity_counts:
-            lines.append("identity %s: %d/%d passed" % (name, passed, count))
+        from .cli import render  # cli imports this module
+
+        rows = [
+            (e.n, e.method, "-" if e.value is None else format_rational(e.value),
+             "yes" if e.agrees_with_oracle else "NO")
+            for e in self.entries
+        ]
+        text = render("entry", "plain", rows) + "\nchecked: %d\n" % self.checked
+        text += render("identity", "plain", self.identity_counts)
         if self.known_discrepancies:
-            lines.append(
-                "known discrepancies: "
-                + ", ".join("(%d, %s)" % (n, m) for n, m in self.known_discrepancies)
-            )
+            text += "known discrepancies: %s\n" % render("pair", "plain", self.known_discrepancies)
         if self.mismatches:
-            lines.append(
-                "UNEXPECTED MISMATCHES: "
-                + ", ".join("(%d, %s)" % (n, m) for n, m in self.mismatches)
-            )
-        else:
-            lines.append("unexpected mismatches: none")
-        return "\n".join(lines) + "\n"
+            return text + "UNEXPECTED MISMATCHES: %s\n" % render("pair", "plain", self.mismatches)
+        return text + "unexpected mismatches: none\n"
 
 
 def cross_verify(

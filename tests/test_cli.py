@@ -1,10 +1,12 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -13,13 +15,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernstir
-from bernstir.cli import FORMATS, METHOD_NAMES, build_parser, main, render_json
+import bernstir.verify
+from bernstir import Method, bernoulli, cross_verify, format_rational, stirling_rows, supports
+from bernstir.cli import FORMATS, KNOWN, METHOD_NAMES, build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dumped(data):
+    """The reference json rendering that every json output equals."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def reference(fmt, keys, rows, plain):
+    """What a command prints for records `rows` with fields `keys`: json.dumps
+    of the records, a csv header plus one ",".join line per record, or the
+    text `plain`."""
+    if fmt == "json":
+        return dumped([dict(zip(keys, row)) for row in rows])
+    if fmt == "csv":
+        return "\n".join([",".join(keys)] + [",".join(map(str, row)) for row in rows]) + "\n"
+    return plain
 
 
 def test_bernoulli_single_method_plain(capsys):
@@ -54,7 +74,7 @@ def test_bernoulli_all_marks_unsupported(capsys):
 def test_bernoulli_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "6", "--method", "all", "--format", "json")
     assert code == 0
-    assert render_json(json.loads(out)) == out
+    assert dumped(json.loads(out)) == out
     records = {r["method"]: r["value"] for r in json.loads(out)}
     assert records["oracle"] == "1/42"
     assert records["alternating"] != records["oracle"]
@@ -78,7 +98,7 @@ def test_stirling_minimal(capsys):
 def test_stirling_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "stirling", "--max-n", "6", "--format", "json")
     assert code == 0
-    assert render_json(json.loads(out)) == out
+    assert dumped(json.loads(out)) == out
     assert {"n": 6, "k": 3, "value": "90"} in json.loads(out)
 
 
@@ -139,6 +159,88 @@ def test_bell_accepts_long_numerals(capsys):
     assert len(err) < 80
 
 
+def b_value(n, method):
+    return format_rational(bernoulli(n, method)) if supports(method, n) else "unsupported"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 8, 31])
+def test_bernoulli_all_equals_the_reference(capsys, fmt, n):
+    rows = [(n, m.value, b_value(n, m)) for m in Method]
+    plain = "".join("%s %s\n" % row[1:] for row in rows)
+    want = reference(fmt, ("n", "method", "value"), rows, plain)
+    assert run_cli(capsys, "bernoulli", str(n), "--format", fmt) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("n, method", [(0, "oracle"), (1, "bell"), (12, "theorem"), (30, "guo-qi")])
+def test_bernoulli_one_method_equals_the_reference(capsys, fmt, n, method):
+    value = b_value(n, Method(method))
+    want = reference(fmt, ("n", "method", "value"), [(n, method, value)], value + "\n")
+    assert run_cli(capsys, "bernoulli", str(n), "--method", method, "--format", fmt) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "n, k, args, value",
+    [
+        (4, 2, "1/2,1/3,1/4", "5/6"),
+        (3, 2, "-1/2,1/3", "-1/2"),
+        (1, 1, "7" * 4400, "7" * 4400),  # past the int-to-str digit limit
+    ],
+)
+def test_bell_equals_the_reference(capsys, fmt, n, k, args, value):
+    want = reference(fmt, ("n", "k", "value"), [(n, k, value)], value + "\n")
+    argv = ("bell", str(n), str(k), "--args=" + args, "--format", fmt)
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "max_n, methods, known",
+    [(8, "", ",".join(KNOWN)), (1, "guo-qi", ""), (6, "alternating,logan", "")],
+    ids=["all", "no-records", "mismatch"],
+)
+def test_bench_equals_the_reference(capsys, monkeypatch, fmt, max_n, methods, known):
+    chosen = [Method(m) for m in methods.split(",")] if methods else tuple(Method)
+    report = cross_verify(max_n, known.split(",") if known else (), chosen)
+    rows = [(e.n, e.method, format_rational(e.value), 7) for e in report.entries]
+    plain = "".join("%d %s %s %dus\n" % row for row in rows)
+    want = reference(fmt, ("n", "method", "value", "micros"), rows, plain)
+    # every formula call then takes 7 microseconds
+    clock = types.SimpleNamespace(perf_counter_ns=itertools.count(0, 7000).__next__)
+    monkeypatch.setattr(bernstir.verify, "time", clock)
+    argv = ("bench", "--max-n", str(max_n), "--methods", methods, "--known", known)
+    assert run_cli(capsys, *argv, "--format", fmt) == (0 if report.ok else 2, want, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("max_n, known", [(6, ()), (12, KNOWN)])
+def test_verify_equals_the_reference(capsys, fmt, max_n, known):
+    report = cross_verify(max_n, known)
+    rows = [
+        (e.n, e.method, format_rational(e.value), "yes" if e.agrees_with_oracle else "no")
+        for e in report.entries
+    ]
+    want = reference(fmt, ("n", "method", "value", "agrees"), rows, None)
+    if fmt == "json":  # the report document, not a list of records
+        want = dumped(report.to_dict())
+    argv = ["verify", "--max-n", str(max_n), "--format", fmt] + ["--allow-known"] * bool(known)
+    assert run_cli(capsys, *argv) == (0 if report.ok else 2, want, "")
+
+
+def stirling_reference(max_n, fmt):
+    rows = [(n, k, str(s)) for n, row in enumerate(stirling_rows(max_n)) for k, s in enumerate(row)]
+    return reference(fmt, ("n", "k", "value"), rows, "".join("%d %d %s\n" % row for row in rows))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("max_n", [0, 1, 8, 40])
+def test_stirling_equals_the_reference(capsys, fmt, max_n):
+    argv = ("stirling", "--max-n", str(max_n), "--format", fmt)
+    assert run_cli(capsys, *argv) == (0, stirling_reference(max_n, fmt), "")
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "1")
     assert code == 0
@@ -153,7 +255,7 @@ def test_verify_exit_codes(capsys):
 def test_verify_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "4", "--allow-known", "--format", "json")
     assert code == 0
-    assert render_json(json.loads(out)) == out
+    assert dumped(json.loads(out)) == out
     doc = json.loads(out)
     assert doc["summary"]["mismatches"] == []
     assert [2, "alternating"] in doc["summary"]["known_discrepancies"]
@@ -184,12 +286,12 @@ def test_bench_csv_contract(capsys):
 def test_bench_and_bell_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "bench", "--max-n", "4", "--format", "json")
     assert code == 0
-    assert render_json(json.loads(out)) == out
+    assert dumped(json.loads(out)) == out
     code, out, _ = run_cli(
         capsys, "bell", "4", "2", "--args", "1/2,1/3,1/4", "--format", "json"
     )
     assert code == 0
-    assert render_json(json.loads(out)) == out
+    assert dumped(json.loads(out)) == out
     assert json.loads(out) == [{"n": 4, "k": 2, "value": "5/6"}]
 
 
@@ -416,6 +518,13 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
+def test_cli_import_leaves_out_json_dataclasses_and_inspect():
+    # each costs start-up time that no command needs
+    code = "import sys, bernstir.cli; print(sorted({'json', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bernstir", "bernoulli", "2", "--method", "logan"],
@@ -464,6 +573,7 @@ def test_stirling_holds_one_row(monkeypatch):
 def test_stirling_past_int_digit_limit(capsys, fmt):
     # S(400, k) reaches 644 digits, past the lowest limit Python allows
     expected = run_cli(capsys, "stirling", "--max-n", "400", "--format", fmt)
+    assert expected == (0, stirling_reference(400, fmt), "")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:

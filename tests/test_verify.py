@@ -145,6 +145,16 @@ def test_report_serialization_shape():
     assert "known discrepancies: (2, alternating)" in table
 
 
+def test_entry_equality_ignores_elapsed_ns():
+    entry = ReportEntry(2, "logan", Fraction(1, 6), True, 5)
+    timed = ReportEntry(2, "logan", Fraction(1, 6), True, elapsed_ns=9000)
+    assert entry == timed and not entry != timed
+    assert hash(entry) == hash(timed)
+    assert entry != ReportEntry(2, "logan", Fraction(1, 6), False, 5)
+    # two runs time their formulas differently, and still report the same
+    assert cross_verify(6) == cross_verify(6)
+
+
 def dumped(report):
     """The reference rendering that `to_json` reproduces from templates."""
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
