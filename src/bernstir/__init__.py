@@ -28,12 +28,7 @@ from .bernoulli import (
     supports,
 )
 from .exact import format_rational, parse_rational
-from .series import (
-    TruncatedSeries,
-    bell_egf_coeff,
-    bernoulli_series,
-    stirling_egf_coeff,
-)
+from .series import bell_egf_coeff, bernoulli_series, stirling_egf_coeff
 from .stirling import (
     StirlingTable,
     associated_diagonals,
@@ -46,7 +41,6 @@ from .verify import VerificationReport, cross_verify, identity_suite
 __all__ = [
     "Method",
     "StirlingTable",
-    "TruncatedSeries",
     "UnsupportedIndexError",
     "VerificationReport",
     "associated_diagonals",

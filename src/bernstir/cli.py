@@ -14,8 +14,8 @@ verify renders each entry's agreement with the oracle, bench the time its
 method took.  bench takes any --max-n that verify takes, 1 included.
 
 Every command's records, `VerificationReport.to_json` and `to_table`
-included, render from one table of `%` templates, RECORDS, keyed by record
-kind and format; each row of records is filled by one `%`.  JSON value
+included, render from one table of `%` templates, `exact.RECORDS`, keyed by
+record kind and format; each row of records is filled by one `%`.  JSON value
 records follow {"n": int, "method": str, "value": "p/q"}; values are always
 exact "p"/"p/q" strings so nothing passes through floating point.  JSON
 output equals json.dumps(records, sort_keys=True, indent=2) + "\n", which
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
 from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
-from .exact import format_rational, parse_rational
+from .exact import RECORDS, format_rational, parse_rational, render
 from .stirling import stirling_rows
 from .verify import cross_verify
 
@@ -58,70 +58,6 @@ FORMATS = ("plain", "json", "csv")
 METHOD_NAMES = tuple(m.value for m in Method)
 INDEX = re.compile(r"[+-]?[0-9]+")
 KNOWN = tuple(m.value for m in Method if ROUTES[m].known_discrepancy)
-
-# Every command's records as text, per record kind and format: (head,
-# record, separator, tail, fields).  `render` writes the head, then one copy
-# of the record template per record, joined by the separator and filled by
-# one `%` with each record's `fields` (positions in its tuple) in turn, then
-# the tail.  A json object template lists its keys sorted, at its depth, so
-# json output equals json.dumps(..., sort_keys=True, indent=2); every string
-# in it is a wire name or a rational, so nothing needs escaping.
-RECORDS = {
-    # (n, method, value): B_n by every method
-    "bernoulli": {
-        "plain": ("", "%s %s\n", "", "", (1, 2)),
-        "csv": ("n,method,value\n", "%d,%s,%s\n", "", "", range(3)),
-        "json": ("[\n", '  {\n    "method": "%s",\n    "n": %d,\n    "value": "%s"\n  }',
-                 ",\n", "\n]\n", (1, 0, 2)),
-    },
-    # (n, k, value): one Bell value, printed alone in plain
-    "bell": {
-        "plain": ("", "%s\n", "", "", (2,)),
-        "csv": ("n,k,value\n", "%d,%d,%s\n", "", "", range(3)),
-        "json": ("[\n", '  {\n    "k": %d,\n    "n": %d,\n    "value": "%s"\n  }',
-                 ",\n", "\n]\n", (1, 0, 2)),
-    },
-    # row n of the triangle: filled with n first, then its cells take (k, S(n, k))
-    "stirling": {
-        "plain": ("", "%d %%d %%s\n", "", "", None),
-        "csv": ("n,k,value\n", "%d,%%d,%%s\n", "", "", None),
-        "json": ("[\n", '  {\n    "k": %%d,\n    "n": %d,\n    "value": "%%s"\n  }',
-                 ",\n", "\n]\n", None),
-    },
-    # (n, method, value, micros): bench
-    "bench": {
-        "plain": ("", "%d %s %s %dus\n", "", "", range(4)),
-        "csv": ("n,method,value,micros\n", "%d,%s,%s,%d\n", "", "", range(4)),
-        "json": ("[\n", '  {\n    "method": "%s",\n    "micros": %d,\n    "n": %d,\n'
-                 '    "value": "%s"\n  }', ",\n", "\n]\n", (1, 3, 0, 2)),
-    },
-    # (n, method, value, agrees): a verify report's entries, json literals in json
-    "entry": {
-        "plain": ("n method value agrees\n", "%d %s %s %s\n", "", "", range(4)),
-        "csv": ("n,method,value,agrees\n", "%d,%s,%s,%s\n", "", "", range(4)),
-        "json": ("[\n", '    {\n      "agrees_with_oracle": %s,\n      "method": "%s",\n'
-                 '      "n": %d,\n      "value": %s\n    }', ",\n", "\n  ]", (3, 1, 0, 2)),
-    },
-    # (n, method): a report's mismatch or known discrepancy
-    "pair": {
-        "plain": ("", "(%d, %s)", ", ", "", range(2)),
-        "json": ("[\n", '      [\n        %d,\n        "%s"\n      ]', ",\n", "\n    ]", range(2)),
-    },
-    # (identity, instances checked, instances passed)
-    "identity": {
-        "plain": ("", "identity %s: %d/%d passed\n", "", "", (0, 2, 1)),
-        "json": ('    "identities": {\n', '      "%s": {\n        "checked": %d,\n'
-                 '        "passed": %d\n      }', ",\n", "\n    },\n", range(3)),
-    },
-    # (entries, max_n, checked, identities, known, mismatches), each part rendered
-    "report": {
-        "json": ("", '{\n  "entries": %s,\n  "max_n": %d,\n  "summary": {\n    "checked": %d,\n%s'
-                 '    "known_discrepancies": %s,\n    "mismatches": %s\n  }\n}\n',
-                 "", "", range(6)),
-    },
-}
-# one method prints its value alone
-RECORDS["method"] = {**RECORDS["bernoulli"], "plain": RECORDS["bell"]["plain"]}
 
 # What a command hands to main(): its output in chunks, and its exit code.
 Output = tuple[Iterable[str], int]
@@ -199,15 +135,6 @@ def _method_list(text: str) -> list[Method]:
         elif name:
             methods.append(_parse_method(name))
     return methods
-
-
-def render(kind: str, fmt: str, records: Sequence[tuple]) -> str:
-    """`records` of `kind` as a `fmt` document, filled by one `%`."""
-    head, record, sep, tail, fields = RECORDS[kind][fmt]
-    if not records and fmt == "json":  # an empty list is "[]" in json
-        return "[" + tail.lstrip()
-    body = sep.join([record] * len(records)) % tuple([r[i] for r in records for i in fields])
-    return head + body + tail
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> Output:

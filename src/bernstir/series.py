@@ -1,14 +1,9 @@
-"""Exact truncated formal power series over Fraction.
+"""Exact power-series coefficients, summed in integers.
 
 This is the independent oracle for every generating function in the
-package: Bernoulli numbers fall out of one exact long division, Stirling
-numbers out of powers of e^t - 1, and Bell polynomial values out of powers
-of a general exponential-coefficient series.
-
-Each coefficient of a product or a reciprocal is one sum of products of
-coefficients; `_dot` adds those products as integers over the running lcm
-of their denominators and reduces once, so the sums never normalise a
-Fraction term by term.
+package: Bernoulli numbers fall out of one exact long division, and Bell
+polynomial values, Stirling numbers among them, out of powers of an
+exponential-coefficient series.
 
 `bernoulli_series` runs the long division of t/(e^t - 1) with every
 coefficient multiplied through by j!, on integer numerators over one common
@@ -17,118 +12,15 @@ property of B_n (neither von Staudt-Clausen nor B_odd = 0), so a route that
 agrees with it has been checked against the defining series and not against
 itself.
 
-Orders are explicit and carried by the value; mixing orders raises instead
-of truncating silently, because oracle code must fail loudly.
+`bell_egf_coeff` raises the series to its power by truncated Cauchy products
+on integer coefficients over one scale, and divides once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Sequence
-
-
-def _dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-    """sum_i x_i y_i over zip(xs, ys), as one reduced Fraction.
-
-    The numerators of the nonzero products are added as integers over the
-    lcm of the denominators seen so far; zero terms are skipped.
-    """
-    total, common = 0, 1  # the sum so far is total/common
-    for x, y in zip(xs, ys):
-        if x and y:
-            den = x.denominator * y.denominator
-            g = gcd(common, den)
-            total = total * (den // g) + x.numerator * y.numerator * (common // g)
-            common *= den // g
-    return Fraction(total, common)
-
-
-class TruncatedSeries:
-    """sum_{j=0}^{order} c_j t^j, arithmetic modulo t^(order+1)."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction | int], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if len(cs) > order + 1:
-                raise ValueError(
-                    "%d coefficients exceed order %d" % (len(cs), order)
-                )
-            cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
-        elif not cs:
-            raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(cs)
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def coefficient(self, j: int) -> Fraction:
-        if not 0 <= j <= self.order:
-            raise ValueError("coefficient %d outside order %d" % (j, self.order))
-        return self._coeffs[j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return "TruncatedSeries(%r)" % (self._coeffs,)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """The Cauchy product truncated at the order.
-
-        (ab)_j = sum_{i=0}^{j} a_i b_{j-i}, each sum taken in integers over
-        one denominator (see `_dot`).
-        """
-        if self.order != other.order:
-            raise ValueError("order mismatch: %d vs %d" % (self.order, other.order))
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries(
-            [_dot(a[: j + 1], b[j::-1]) for j in range(self.order + 1)]
-        )
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("negative power %d; invert explicitly" % exponent)
-        result = one(self.order)
-        for _ in range(exponent):  # repeated multiplication: oracle clarity
-            result = result * self
-        return result
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """b with self * b = 1 mod t^(order+1); needs a nonzero constant term.
-
-        b_0 = 1/c_0 and b_j = -(1/c_0) sum_{i=1}^{j} c_i b_{j-i}, where
-        each sum is taken in integers over one denominator (see `_dot`).
-        """
-        c0 = self._coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        inv0 = 1 / c0
-        out = [inv0]
-        for j in range(1, self.order + 1):
-            out.append(-inv0 * _dot(self._coeffs[1 : j + 1], out[j - 1 :: -1]))
-        return TruncatedSeries(out)
-
-
-def one(order: int) -> TruncatedSeries:
-    """The multiplicative identity at the given order."""
-    return TruncatedSeries([1], order=order)
-
-
-def exp_minus_one(order: int) -> TruncatedSeries:
-    """e^t - 1 truncated: coefficients 0, 1/1!, 1/2!, ..."""
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction(1, factorial(j)) for j in range(1, order + 1)]
-    )
 
 
 def bernoulli_series(order: int) -> list[Fraction]:
@@ -170,11 +62,9 @@ def bernoulli_series(order: int) -> list[Fraction]:
 
 
 def stirling_egf_coeff(n: int, k: int) -> Fraction:
-    """n!/k! times the t^n coefficient of (e^t - 1)^k; equals S(n, k)."""
-    if not 0 <= k <= n:
-        raise ValueError("needs 0 <= k <= n, got (%d, %d)" % (n, k))
-    power = exp_minus_one(n) ** k
-    return power.coefficient(n) * Fraction(factorial(n), factorial(k))
+    """n!/k! times the t^n coefficient of (e^t - 1)^k; equals S(n, k),
+    which is B_{n,k}(1, ..., 1)."""
+    return bell_egf_coeff(n, k, [1] * (n - k + 1))
 
 
 def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
@@ -183,17 +73,40 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
 
     Arguments beyond x_{n-k+1} cannot reach the t^n coefficient, so they may
     be omitted or set to anything.
+
+    With q the lcm of the denominators of x_1..x_{n-k+1}, the series is
+    U(t)/(q n!) for the integer coefficients u_m = (q x_m) n!/m!.  U^k is
+    taken by k - 1 Cauchy products, each truncated where the factors still
+    to come cannot reach t^n, and the value is [t^n] U^k over
+    k! q^k n!^(k-1).
     """
     if not 0 <= k <= n:
         raise ValueError("needs 0 <= k <= n, got (%d, %d)" % (n, k))
-    vals = tuple(Fraction(x) for x in xs)
-    if k >= 1 and len(vals) < n - k + 1:
+    vals = [Fraction(x) for x in xs]
+    top = n - k + 1  # x_1..x_top reach t^n
+    if k == 0:
+        return Fraction(int(n == 0))
+    if len(vals) < top:
         raise ValueError(
             "coefficient t^%d of a k=%d power needs x_1..x_%d, got %d"
-            % (n, k, n - k + 1, len(vals))
+            % (n, k, top, len(vals))
         )
-    coeffs = [Fraction(0)] * (n + 1)
-    for m in range(1, min(len(vals), n) + 1):
-        coeffs[m] = vals[m - 1] / factorial(m)
-    base = TruncatedSeries(coeffs)
-    return (base**k).coefficient(n) * Fraction(factorial(n), factorial(k))
+    q = lcm(*(x.denominator for x in vals[:top]))
+    n_fact = factorial(n)
+    power = [0] + [  # U^1 to degree top
+        x.numerator * (q // x.denominator) * (n_fact // factorial(m))
+        for m, x in enumerate(vals[:top], start=1)
+    ]
+    terms = [(m, u) for m, u in enumerate(power) if u]
+    for j in range(2, k + 1):  # U^j is needed to degree n - k + j
+        size = n - k + j + 1
+        product = [0] * size
+        for i in range(j - 1, size - 1):
+            a = power[i]
+            if a:
+                for m, u in terms:
+                    if i + m >= size:
+                        break
+                    product[i + m] += a * u
+        power = product
+    return Fraction(power[n], factorial(k) * q**k * n_fact ** (k - 1))

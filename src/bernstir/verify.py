@@ -11,10 +11,14 @@ closed form.
 Mismatches are data, not errors: they land in the report, tallied as
 "unexpected" unless their method is on the caller's known-discrepancy list.
 
-A report renders from the command line's one template table,
-``cli.RECORDS``: as text, and as JSON equal to
-``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"`` byte for
-byte, with json.dumps kept as the tests' reference only.
+Of the library's public names, three serve only the tests:
+`StirlingTable` and `power_sum_coeffs`, which the benchmark's traced run
+still wraps, and `stirling_explicit`, which waits for an identity row here.
+
+A report renders from the package's one template table, ``exact.RECORDS``:
+as text, and as JSON equal to ``json.dumps(..., sort_keys=True, indent=2)``
+of its document {"max_n", "entries", "summary"} byte for byte, with
+json.dumps kept as the tests' reference only.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .bell import (
     bell_zero_one,
 )
 from .bernoulli import Method, bernoulli, stirling_cells, supports
-from .exact import format_rational
+from .exact import format_rational, render
 from .series import bell_egf_coeff, bernoulli_series
 from .stirling import associated_diagonals, stirling_diagonals
 
@@ -78,31 +82,12 @@ class VerificationReport(NamedTuple):
         """True when there is no unexpected mismatch."""
         return not self.mismatches
 
-    def to_dict(self) -> dict:
-        summary = {
-            "checked": self.checked,
-            "mismatches": [[n, m] for n, m in self.mismatches],
-            "known_discrepancies": [[n, m] for n, m in self.known_discrepancies],
-        }
-        if self.identity_counts:
-            summary["identities"] = {
-                name: {"checked": c, "passed": p} for name, c, p in self.identity_counts
-            }
-        return {
-            "max_n": self.max_n,
-            "entries": [
-                {"n": e.n, "method": e.method, "agrees_with_oracle": e.agrees_with_oracle,
-                 "value": None if e.value is None else format_rational(e.value)}
-                for e in self.entries
-            ],
-            "summary": summary,
-        }
-
     def to_json(self) -> str:
-        """`to_dict()` as JSON, filled from `cli.RECORDS`: equal to
-        ``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
-        from .cli import render  # cli imports this module
-
+        """The report document as JSON, filled from `exact.RECORDS`:
+        {"max_n", "entries": [{"n", "method", "value", "agrees_with_oracle"}],
+        "summary": {"checked", "known_discrepancies", "mismatches", and, for
+        an identity report, "identities": {name: {"checked", "passed"}}}},
+        keys sorted and indented by two as json.dumps writes them."""
         entries = [
             (e.n, e.method, "null" if e.value is None else '"%s"' % format_rational(e.value),
              "true" if e.agrees_with_oracle else "false")
@@ -121,8 +106,6 @@ class VerificationReport(NamedTuple):
 
     def to_table(self) -> str:
         """Human-readable table plus a summary block."""
-        from .cli import render  # cli imports this module
-
         rows = [
             (e.n, e.method, "-" if e.value is None else format_rational(e.value),
              "yes" if e.agrees_with_oracle else "NO")
@@ -150,12 +133,16 @@ def cross_verify(
     method's cost on them, without the cost of building them.  Methods named in
     `known_discrepancies` still appear in the report, but their mismatches
     are tallied separately and do not make the run fail.  Entries are sorted
-    by ascending n, then method name, so output is deterministic.
+    by ascending n, then method name, so output is deterministic.  A run in
+    which no chosen method is defined at any n <= max_n raises ValueError,
+    as it would check nothing.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1, got %d" % max_n)
     known = {Method(name).value for name in known_discrepancies}
     chosen = [m for m in Method if m in methods]
+    if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
+        raise ValueError("no chosen method is defined at any n <= %d" % max_n)
     oracle = bernoulli_series(max_n)
     entries: list[ReportEntry] = []
     mismatches: list[tuple[int, str]] = []

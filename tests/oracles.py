@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
+from bernstir.exact import format_rational
+
 Block = tuple[int, ...]
 Partition = tuple[Block, ...]
 
@@ -79,6 +81,25 @@ def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
         nxt[0] += dd[j]
         poly = nxt
     return tuple(poly)
+
+
+def power_sum_coeffs_solved(p: int) -> tuple[Fraction, ...]:
+    """The same A_0..A_{p+1} as `power_sum_coeffs_fraction`, solved top down
+    from P(x) - P(x-1) = x^p and P(0) = 0 for P(x) = sum_m A_m x^m.
+
+    x^m - (x-1)^m = sum_{j<m} (-1)^(m-j+1) C(m, j) x^j, so the coefficient
+    of x^j gives (j+1) A_{j+1} = [j = p] + sum_{m>j+1} (-1)^(m-j) C(m, j) A_m;
+    terms whose A_m solved to 0 are skipped."""
+    a = [Fraction(0)] * (p + 2)
+    a[p + 1] = Fraction(1, p + 1)
+    for j in range(p - 1, -1, -1):
+        acc = Fraction(0)
+        for m in range(j + 2, p + 2):
+            if a[m]:
+                term = comb(m, j) * a[m]
+                acc += -term if (m - j) & 1 else term
+        a[j + 1] = acc / (j + 1)
+    return tuple(a)
 
 
 # Fraction transcriptions of the Stirling routes, one Fraction per term, as
@@ -224,9 +245,8 @@ def bell_recurrence_fraction(n: int, k: int, xs: Sequence[Fraction | int]) -> Fr
     return rec(n, k)
 
 
-# Fraction transcriptions of `TruncatedSeries.__mul__` and `reciprocal` on
-# coefficient lists, one Fraction per term, as they were written before each
-# coefficient was summed in integers over one denominator.
+# The Cauchy product and the reciprocal of truncated power series on
+# coefficient lists, one Fraction per term.
 
 
 def series_mul_fraction(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -261,3 +281,27 @@ def bernoulli_long_division_fraction(order: int) -> list[Fraction]:
         [Fraction(1, factorial(j + 1)) for j in range(order + 1)]
     )
     return [inv[j] * factorial(j) for j in range(order + 1)]
+
+
+def report_to_dict(report) -> dict:
+    """A `VerificationReport` as the document its `to_json` writes, for
+    json.dumps(..., sort_keys=True, indent=2) to render as the reference.
+    Values are written by `format_rational`, as the package writes them."""
+    summary = {
+        "checked": report.checked,
+        "mismatches": [[n, m] for n, m in report.mismatches],
+        "known_discrepancies": [[n, m] for n, m in report.known_discrepancies],
+    }
+    if report.identity_counts:
+        summary["identities"] = {
+            name: {"checked": c, "passed": p} for name, c, p in report.identity_counts
+        }
+    return {
+        "max_n": report.max_n,
+        "entries": [
+            {"n": e.n, "method": e.method, "agrees_with_oracle": e.agrees_with_oracle,
+             "value": None if e.value is None else format_rational(e.value)}
+            for e in report.entries
+        ],
+        "summary": summary,
+    }

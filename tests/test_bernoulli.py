@@ -37,6 +37,7 @@ from oracles import (
     guo_qi_fraction,
     logan_fraction,
     power_sum_coeffs_fraction,
+    power_sum_coeffs_solved,
     theorem_fraction,
 )
 
@@ -124,13 +125,15 @@ def test_power_sum_polynomial_identity():
 
 def test_power_sum_matches_fraction_solver():
     for p in range(81):
-        assert power_sum_coeffs(p) == power_sum_coeffs_fraction(p), p
+        expected = power_sum_coeffs_fraction(p)
+        assert power_sum_coeffs(p) == expected, p
+        assert power_sum_coeffs_solved(p) == expected, p  # the reference below
 
 
 def test_guo_qi_equals_the_fraction_transcription_on_fraction_coefficients():
     # the whole route, integer core included, against Fraction arithmetic only
     for k in range(1, 151):
-        coeffs = power_sum_coeffs_fraction(2 * k - 1)
+        coeffs = power_sum_coeffs_solved(2 * k - 1)
         assert bernoulli_guo_qi(k) == guo_qi_fraction(k, coeffs), k
 
 

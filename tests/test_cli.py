@@ -19,6 +19,8 @@ import bernstir.verify
 from bernstir import Method, bernoulli, cross_verify, format_rational, stirling_rows, supports
 from bernstir.cli import FORMATS, KNOWN, METHOD_NAMES, build_parser, main
 
+from oracles import report_to_dict
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -203,6 +205,12 @@ def test_bell_equals_the_reference(capsys, fmt, n, k, args, value):
 )
 def test_bench_equals_the_reference(capsys, monkeypatch, fmt, max_n, methods, known):
     chosen = [Method(m) for m in methods.split(",")] if methods else tuple(Method)
+    argv = ("bench", "--max-n", str(max_n), "--methods", methods, "--known", known)
+    if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
+        # a run with no record checks nothing: a usage error, not an empty report
+        want = "error: no chosen method is defined at any n <= %d\n" % max_n
+        assert run_cli(capsys, *argv, "--format", fmt) == (64, "", want)
+        return
     report = cross_verify(max_n, known.split(",") if known else (), chosen)
     rows = [(e.n, e.method, format_rational(e.value), 7) for e in report.entries]
     plain = "".join("%d %s %s %dus\n" % row for row in rows)
@@ -210,7 +218,6 @@ def test_bench_equals_the_reference(capsys, monkeypatch, fmt, max_n, methods, kn
     # every formula call then takes 7 microseconds
     clock = types.SimpleNamespace(perf_counter_ns=itertools.count(0, 7000).__next__)
     monkeypatch.setattr(bernstir.verify, "time", clock)
-    argv = ("bench", "--max-n", str(max_n), "--methods", methods, "--known", known)
     assert run_cli(capsys, *argv, "--format", fmt) == (0 if report.ok else 2, want, "")
 
 
@@ -224,7 +231,7 @@ def test_verify_equals_the_reference(capsys, fmt, max_n, known):
     ]
     want = reference(fmt, ("n", "method", "value", "agrees"), rows, None)
     if fmt == "json":  # the report document, not a list of records
-        want = dumped(report.to_dict())
+        want = dumped(report_to_dict(report))
     argv = ["verify", "--max-n", str(max_n), "--format", fmt] + ["--allow-known"] * bool(known)
     assert run_cli(capsys, *argv) == (0 if report.ok else 2, want, "")
 

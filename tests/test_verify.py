@@ -7,6 +7,8 @@ from bernstir.bell import bell_scaling_identity_lhs_rhs
 from bernstir.bernoulli import Method, supported_methods
 from bernstir.verify import ReportEntry, VerificationReport, cross_verify, identity_suite
 
+from oracles import report_to_dict
+
 
 def expected_entry_count(max_n):
     return sum(len(supported_methods(n)) for n in range(max_n + 1))
@@ -64,6 +66,11 @@ def test_cross_verify_validates_input():
         cross_verify(0)
     with pytest.raises(ValueError):
         cross_verify(4, known_discrepancies=("bogus",))
+    # no chosen method is defined at any index: nothing would be checked
+    with pytest.raises(ValueError, match="no chosen method is defined at any n <= 1"):
+        cross_verify(1, methods=(Method.GUO_QI, Method.DOUBLE_STIRLING, Method.ALTERNATING))
+    with pytest.raises(ValueError, match="no chosen method is defined at any n <= 5"):
+        cross_verify(5, methods=())
 
 
 def test_identity_suite_all_pass():
@@ -131,7 +138,7 @@ def test_identity_suite_validates_input():
 
 def test_report_serialization_shape():
     report = cross_verify(2, known_discrepancies=("alternating",))
-    doc = report.to_dict()
+    doc = report_to_dict(report)
     assert doc["max_n"] == 2
     assert doc["summary"]["checked"] == report.checked
     assert doc["summary"]["known_discrepancies"] == [[2, "alternating"]]
@@ -157,7 +164,7 @@ def test_entry_equality_ignores_elapsed_ns():
 
 def dumped(report):
     """The reference rendering that `to_json` reproduces from templates."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("known", [(), ("alternating",)])
