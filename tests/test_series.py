@@ -9,7 +9,11 @@ from bernstir.bell import bell_partition_sum
 from bernstir.series import bell_egf_coeff, bernoulli_series, stirling_egf_coeff
 from bernstir.stirling import stirling_rows
 
-from oracles import bernoulli_long_division_fraction, series_mul_fraction
+from oracles import (
+    bernoulli_long_division_fraction,
+    series_mul_fraction,
+    series_reciprocal_fraction,
+)
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 # zero coefficients are the ones the sums skip, so draw them often
@@ -18,9 +22,17 @@ coefficients = st.one_of(st.just(Fraction(0)), small_fractions)
 
 def test_bernoulli_series_equals_fraction_long_division():
     reference = bernoulli_long_division_fraction(200)
-    for n in range(81):
+    for n in range(61):
         assert bernoulli_series(n) == reference[: n + 1], n
     assert bernoulli_series(200) == reference
+
+
+def test_bernoulli_series_equals_library_reciprocal():
+    # j! times the coefficients of the reciprocal of sum_j t^j/(j+1)!
+    for n in range(81):
+        g = [Fraction(1, factorial(j + 1)) for j in range(n + 1)]
+        expected = [c * factorial(j) for j, c in enumerate(series_reciprocal_fraction(g))]
+        assert bernoulli_series(n) == expected, n
 
 
 @pytest.mark.parametrize("n, m", [(0, 1), (1, 2), (2, 7), (6, 7), (12, 61), (60, 61), (97, 230)])
