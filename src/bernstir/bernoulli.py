@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .exact import check_at_least
 from .series import bernoulli_series
 from .stirling import associated_diagonals, check_cells, stirling_diagonals, stirling_rows
 
@@ -115,8 +116,7 @@ class UnsupportedIndexError(ValueError):
 
 def bernoulli_oracle(n: int) -> Fraction:
     """B_n from the exact series long division (the reference path)."""
-    if n < 0:
-        raise ValueError("n must be >= 0, got %d" % n)
+    check_at_least("n", n, 0)
     return bernoulli_series(n)[n]
 
 
@@ -129,8 +129,7 @@ def bernoulli_theorem(n: int, diagonal: Sequence[int]) -> Fraction:
     integer w_i/(i+1) with w_i = (n+1)!/(n-i)! * (2n)!/(n+i)!, and
     w_{i+1} = w_i (n-i)/(n+i+1).  Every division is exact.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0, got %d" % n)
+    check_at_least("n", n, 0)
     check_cells(diagonal, n + 1)
     denom = math.factorial(2 * n) // math.factorial(n)
     w = (n + 1) * denom  # w_0
@@ -153,8 +152,7 @@ def bernoulli_bell(n: int, associated: Sequence[int]) -> Fraction:
     u_k S_2(n+k, k) with u_k = k! (2n)!/(n+k)!, and
     u_{k+1} = u_k (k+1)/(n+k+1) exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    check_at_least("n", n, 1)
     check_cells(associated, n + 1)
     denom = math.factorial(2 * n) // math.factorial(n)
     u = denom // (n + 1)  # u_1
@@ -173,8 +171,7 @@ def bernoulli_logan(n: int, row: Sequence[int]) -> Fraction:
     Summed in integers over the one denominator L = lcm(1, ..., n+1), where
     the weight k!/(k+1) becomes k! L/(k+1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    check_at_least("n", n, 1)
     check_cells(row, n + 1)
     lcm = math.lcm(*range(1, n + 2))
     scaled = lcm  # k! L
@@ -201,8 +198,7 @@ def power_sum_numerators(p: int) -> tuple[int, ...]:
     weight Delta^l y_0 * L!/l! an integer.  The forward differences and the
     expansion into monomials are integer arithmetic.
     """
-    if p < 0:
-        raise ValueError("exponent must be >= 0, got %d" % p)
+    check_at_least("exponent", p, 0)
     top = p + 1
     diffs = [0]
     acc = 0
@@ -248,8 +244,7 @@ def bernoulli_guo_qi(k: int) -> Fraction:
     L! M, where M = lcm(3, 5, ..., 2k-1).  1/2 - 1/(2k+1) = (2k-1)/(2(2k+1))
     joins it over 2(2k+1) L! M, and the value is one Fraction.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1, got %d" % k)
+    check_at_least("k", k, 1)
     n = 2 * k
     tail, common = 0, 1  # the tail is tail/common
     if k > 1:
@@ -271,8 +266,7 @@ def bernoulli_double_stirling(k: int, rows: Sequence[Sequence[int]]) -> Fraction
     D = lcm(1, ..., n+1)/(n+1), which is the lcm of every C(n, m), so
     1/C(n, m) becomes D/C(n, m); the whole value is over L = (n+1) D.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1, got %d" % k)
+    check_at_least("k", k, 1)
     n = 2 * k
     row, next_row = rows
     check_cells(row, n + 1)
@@ -297,8 +291,7 @@ def alternating_double_sum(k: int) -> int:
     each computed once.  C(2k, l) is updated step by step, and each division
     is exact.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1, got %d" % k)
+    check_at_least("k", k, 1)
     powers = [m ** (2 * k - 1) for m in range(k + 1)]
     binomials = []
     c = 1  # C(2k, l)
@@ -322,8 +315,7 @@ def bernoulli_alternating(k: int) -> Fraction:
     k=2.  The verifier reports the mismatch instead of this module silently
     "fixing" the formula.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1, got %d" % k)
+    check_at_least("k", k, 1)
     prefactor = Fraction(
         (-1) ** (k - 1) * k, 2 ** (2 * (k - 1)) * (2 ** (2 * k) - 1)
     )
@@ -335,8 +327,7 @@ def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
     the diagonals of `stirling_diagonals(max_n)`, the consecutive pairs of
     `stirling_rows(max_n + 1)` and the diagonals of
     `associated_diagonals(max_n)`, each stream advanced one step per n."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0, got %d" % max_n)
+    check_at_least("max_n", max_n, 0)
     reads = {ROUTES[m].reads for m in methods}
     streams: dict[Reads, Iterator] = {}
     if Reads.DIAGONAL in reads:
@@ -351,8 +342,7 @@ def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
 
 def cells_at(n: int, methods: Iterable[Method]) -> Cells:
     """The last item of `stirling_cells(n, methods)`."""
-    if n < 0:
-        raise ValueError("n must be >= 0, got %d" % n)
+    check_at_least("n", n, 0)
     return collections.deque(stirling_cells(n, methods), maxlen=1).pop()
 
 
@@ -366,8 +356,7 @@ def bernoulli(n: int, method: Method | str, cells: Cells | None = None) -> Fract
     """
     if not isinstance(method, Method):
         method = Method(method)
-    if n < 0:
-        raise ValueError("n must be >= 0, got %d" % n)
+    check_at_least("n", n, 0)
     if not supports(method, n):
         raise UnsupportedIndexError(n, method)
     route = ROUTES[method]

@@ -2,12 +2,16 @@
 
 Commands: bernoulli, stirling, bell, verify, bench.  Every command accepts
 --format {plain,json,csv}.  Exit codes: 0 success, 2 verification mismatch,
-64 usage error.  A usage error is an argument argparse rejects, an index
-past the cap, an unknown method name, or a ValueError the library raises on
-the given arguments (such as `bell 2 4` or `verify --max-n 0`); each prints
-one line, `error: <message>`, on stderr.  An index argument (`bernoulli N`,
-`bell N K`, `--max-n`) is ASCII digits with an optional sign; argparse
-rejects any other token, `1_0` and non-ASCII digits included.
+64 usage error, 130 interrupted.  A usage error is an argument argparse
+rejects, an index past the cap, an unknown method name, or a ValueError the
+library raises on the given arguments (such as `bell 2 4` or
+`verify --max-n 0`); each prints one line, `error: <message>`, on stderr.
+An argument below its fixed lower bound reads `<name> must be >= <low>, got
+<value>`.  An index argument (`bernoulli N`, `bell N K`, `--max-n`) is
+ASCII digits with an optional sign; argparse rejects any other token, `1_0`
+and non-ASCII digits included.  A command interrupted by Ctrl-C (SIGINT),
+while it computes or while it writes, prints `error: interrupted` on stderr
+and exits 130.
 
 `verify` and `bench` run one cross-check handler over `cross_verify`:
 verify renders each entry's agreement with the oracle, bench the time its
@@ -45,13 +49,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
 from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
-from .exact import RECORDS, format_rational, parse_rational, render
+from .exact import RECORDS, check_at_least, format_rational, parse_rational, render
 from .stirling import stirling_rows
 from .verify import cross_verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it killed
 
 DEFAULT_CAP = 10000
 FORMATS = ("plain", "json", "csv")
@@ -153,8 +158,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> Output:
 
 def cmd_stirling(args: argparse.Namespace) -> Output:
     # checked here: stirling_rows would raise only once main() writes the rows
-    if args.max_n < 0:
-        raise UsageError("--max-n must be >= 0, got %d" % args.max_n)
+    check_at_least("--max-n", args.max_n, 0)
     _check_cap(args.max_n, "max-n")
     return _stirling_chunks(args.max_n, args.format), EXIT_OK
 
@@ -263,6 +267,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except KeyboardInterrupt:  # Ctrl-C, while computing or while writing
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,7 +7,9 @@ package stays in these two types; nothing ever passes through floating
 point.
 
 Every record the package prints, a verification report's included, is
-written from one table of `%` templates, RECORDS, by `render`.
+written from one table of `%` templates, RECORDS, by `render`.  An
+argument below its fixed lower bound is refused by `check_at_least`, so
+that error reads the same wherever it is raised.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ from typing import Sequence
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 _ECHO = 40  # characters of rejected input quoted back in the error
+
+
+def check_at_least(name: str, value: int, low: int) -> None:
+    """Raise ValueError("<name> must be >= <low>, got <value>") when
+    value < low."""
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
 
 
 def _digits_to_int(digits: str) -> int:

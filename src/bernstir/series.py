@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Sequence
 
+from .exact import check_at_least
+
 
 def bernoulli_series(order: int) -> list[Fraction]:
     """B_0..B_order by exact long division.
@@ -40,8 +42,7 @@ def bernoulli_series(order: int) -> list[Fraction]:
     reduced denominator does not divide it.  A term is skipped only when
     the B_m it multiplies computed to 0.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0, got %d" % order)
+    check_at_least("order", order, 0)
     values = [Fraction(1)]
     numerators, common = [1], 1  # B_m = numerators[m]/common
     for j in range(1, order + 1):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
+from .exact import check_at_least
+
 
 def check_cells(cells: Sequence[int], length: int) -> None:
     """Raise ValueError unless `cells` holds at least `length` cells."""
@@ -37,8 +39,7 @@ def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
     and only that row is kept, so a caller that drops the rows it has read
     holds one row at a time.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0, got %d" % max_n)
+    check_at_least("max_n", max_n, 0)
     row: tuple[int, ...] = (1,)
     yield row
     for n in range(1, max_n + 1):
@@ -57,8 +58,7 @@ def stirling_diagonals(max_d: int) -> Iterator[tuple[int, ...]]:
     The recurrence reads D_d(k) = k*D_{d-1}(k) + D_d(k-1), so one column is
     swept in place from D_0 = (1, ..., 1) and each pass yields a copy.
     """
-    if max_d < 0:
-        raise ValueError("max_d must be >= 0, got %d" % max_d)
+    check_at_least("max_d", max_d, 0)
     col = [1] * (max_d + 1)
     yield tuple(col)
     for _ in range(max_d):
@@ -80,8 +80,7 @@ def associated_diagonals(max_d: int) -> Iterator[tuple[int, ...]]:
     place with descending k from E_0 = (1, 0, ..., 0), and each pass yields
     a copy.  E_d(k) = 0 for k > d, so a pass stops at k = d.
     """
-    if max_d < 0:
-        raise ValueError("max_d must be >= 0, got %d" % max_d)
+    check_at_least("max_d", max_d, 0)
     col = [0] * (max_d + 1)
     col[0] = 1
     yield tuple(col)

@@ -36,7 +36,7 @@ from .bell import (
     bell_zero_one,
 )
 from .bernoulli import Method, bernoulli, stirling_cells, supports
-from .exact import format_rational, render
+from .exact import check_at_least, format_rational, render
 from .series import bell_egf_coeff, bernoulli_series
 from .stirling import associated_diagonals, stirling_diagonals
 
@@ -137,8 +137,7 @@ def cross_verify(
     which no chosen method is defined at any n <= max_n raises ValueError,
     as it would check nothing.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1, got %d" % max_n)
+    check_at_least("max_n", max_n, 1)
     known = {Method(name).value for name in known_discrepancies}
     chosen = [m for m in Method if m in methods]
     if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
@@ -191,10 +190,8 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
     EGF identities are drawn from a generator seeded with `seed`, so
     identical inputs give byte-identical reports.
     """
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2, got %d" % max_n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %d" % trials)
+    check_at_least("max_n", max_n, 2)
+    check_at_least("trials", trials, 1)
     rng = random.Random(seed)
     instances: list[tuple[str, int, bool]] = []
 

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernstir
+import bernstir.cli
 import bernstir.verify
 from bernstir import Method, bernoulli, cross_verify, format_rational, stirling_rows, supports
 from bernstir.cli import FORMATS, KNOWN, METHOD_NAMES, build_parser, main
@@ -557,6 +559,39 @@ def test_stirling_reader_closing_early_is_not_an_error():
     assert head.startswith(b"[\n  {\n")
     assert code == 0
     assert err == b""
+
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def test_interrupted_command_exits_130_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(bernstir.cli, "cross_verify", interrupt)
+    assert run_cli(capsys, "verify", "--max-n", "10") == (130, "", "error: interrupted\n")
+
+
+def test_interrupted_stirling_stream_exits_130_with_one_line(capsys, monkeypatch):
+    def two_rows(max_n):
+        yield from itertools.islice(stirling_rows(max_n), 2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bernstir.cli, "stirling_rows", two_rows)
+    # the rows already written stay written
+    rows = "0 0 1\n1 0 0\n1 1 1\n"
+    assert run_cli(capsys, "stirling", "--max-n", "5") == (130, rows, "error: interrupted\n")
+
+
+def test_sigint_ends_a_command_with_one_line():
+    with subprocess.Popen(
+        [sys.executable, "-m", "bernstir", "stirling", "--max-n", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    ) as proc:
+        proc.stdout.read(50)  # the dump is under way
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")
 
 
 def test_stirling_holds_one_row(monkeypatch):

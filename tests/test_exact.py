@@ -1,10 +1,30 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bernstir.bernoulli import (
+    Method,
+    alternating_double_sum,
+    bernoulli,
+    bernoulli_alternating,
+    bernoulli_bell,
+    bernoulli_double_stirling,
+    bernoulli_guo_qi,
+    bernoulli_logan,
+    bernoulli_oracle,
+    bernoulli_theorem,
+    cells_at,
+    power_sum_numerators,
+    stirling_cells,
+)
+from bernstir.cli import main
 from bernstir.exact import format_rational, parse_rational
+from bernstir.series import bernoulli_series
+from bernstir.stirling import associated_diagonals, stirling_diagonals, stirling_rows
+from bernstir.verify import cross_verify, identity_suite
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 nonzero = rationals.filter(lambda q: q != 0)
@@ -79,3 +99,43 @@ def test_parse_error_echoes_bounded_input():
     with pytest.raises(ValueError) as info:
         parse_rational("1" * 5000 + "/0")
     assert len(str(info.value)) < 70
+
+
+# Every lower bound on an argument, with the call one below it.
+LOWER_BOUNDS = [
+    (bernoulli_oracle, (-1,), "n must be >= 0, got -1"),
+    (bernoulli_theorem, (-1, ()), "n must be >= 0, got -1"),
+    (bernoulli_bell, (0, ()), "n must be >= 1, got 0"),
+    (bernoulli_logan, (0, ()), "n must be >= 1, got 0"),
+    (power_sum_numerators, (-1,), "exponent must be >= 0, got -1"),
+    (bernoulli_guo_qi, (0,), "k must be >= 1, got 0"),
+    (bernoulli_double_stirling, (0, ((), ())), "k must be >= 1, got 0"),
+    (alternating_double_sum, (0,), "k must be >= 1, got 0"),
+    (bernoulli_alternating, (0,), "k must be >= 1, got 0"),
+    (stirling_cells, (-1, tuple(Method)), "max_n must be >= 0, got -1"),
+    (cells_at, (-1, tuple(Method)), "n must be >= 0, got -1"),
+    (bernoulli, (-1, Method.THEOREM), "n must be >= 0, got -1"),
+    (stirling_rows, (-1,), "max_n must be >= 0, got -1"),
+    (stirling_diagonals, (-1,), "max_d must be >= 0, got -1"),
+    (associated_diagonals, (-1,), "max_d must be >= 0, got -1"),
+    (bernoulli_series, (-1,), "order must be >= 0, got -1"),
+    (cross_verify, (0,), "max_n must be >= 1, got 0"),
+    (identity_suite, (1, 1, 0), "max_n must be >= 2, got 1"),
+    (identity_suite, (2, 0, 0), "trials must be >= 1, got 0"),
+    (main, (["stirling", "--max-n", "-1"],), "--max-n must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message", LOWER_BOUNDS, ids=[f.__name__ for f, _, _ in LOWER_BOUNDS]
+)
+def test_every_lower_bound_reads_one_format(capsys, function, args, message):
+    try:
+        result = function(*args)
+        if inspect.isgenerator(result):  # it checks its arguments once advanced
+            next(result)
+    except ValueError as exc:
+        assert str(exc) == message
+    else:  # the CLI reports its own bound on stderr, with exit 64
+        assert function is main
+        assert (result, capsys.readouterr()) == (64, ("", "error: %s\n" % message))

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from bernstir.bell import bell_reciprocal_args, bell_zero_one
-from bernstir.series import stirling_egf_coeff
 from bernstir.stirling import (
     StirlingTable,
     associated_diagonals,
@@ -75,13 +74,6 @@ def test_row_sums_are_set_partition_counts():
     for n in range(11):
         row_sum = sum(table.value(n, k) for k in range(n + 1))
         assert row_sum == sum(1 for _ in set_partitions(n))
-
-
-def test_egf_coefficients_match_table():
-    table = StirlingTable(25)
-    for k in range(9):
-        for n in range(k, 26):
-            assert stirling_egf_coeff(n, k) == table.value(n, k), (n, k)
 
 
 def test_iteration_is_lexicographic():
