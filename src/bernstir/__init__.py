@@ -24,16 +24,14 @@ from .bernoulli import (
     bernoulli_logan,
     bernoulli_oracle,
     bernoulli_theorem,
-    power_sum_coeffs,
     supports,
 )
 from .exact import format_rational, parse_rational
-from .series import bell_egf_coeff, bernoulli_series, stirling_egf_coeff
+from .series import bell_egf_coeff, bernoulli_series
 from .stirling import (
     StirlingTable,
     associated_diagonals,
     stirling_diagonals,
-    stirling_explicit,
     stirling_rows,
 )
 from .verify import VerificationReport, cross_verify, identity_suite
@@ -63,10 +61,7 @@ __all__ = [
     "format_rational",
     "identity_suite",
     "parse_rational",
-    "power_sum_coeffs",
     "stirling_diagonals",
-    "stirling_egf_coeff",
-    "stirling_explicit",
     "stirling_rows",
     "supports",
 ]

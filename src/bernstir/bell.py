@@ -3,10 +3,11 @@
 Two independent evaluators: the defining sum over block-size profiles
 (``bell_partition_sum``, the oracle) and a convolution recurrence
 (``bell_recurrence``, the production path for larger n).  On top of those,
-closed forms for the two argument specializations (0, 1, ..., 1) and
-(1/2, 1/3, ...), and a rescaling identity evaluated on both sides.  The
-closed forms read one diagonal S(d+i, i) of the Stirling triangle as a plain
-sequence, an item of `stirling.stirling_diagonals`.
+a closed form for the argument specialization (0, 1, ..., 1), and a
+rescaling identity evaluated on both sides.  The identity at x = 1 carries
+the closed form to the arguments (1/2, 1/3, ...), so both read one diagonal
+S(d+i, i) of the Stirling triangle as a plain sequence, an item of
+`stirling.stirling_diagonals`, and only the first sums over it.
 
 Both evaluators run in integers.  B_{n,k} is homogeneous of degree k, so
 with q the lcm of the denominators of x_1..x_{n-k+1} and a_i = q * x_i,
@@ -131,22 +132,17 @@ def bell_zero_one(n: int, k: int, diagonal: Sequence[int]) -> int:
 
 
 def bell_reciprocal_args(n: int, k: int, diagonal: Sequence[int]) -> Fraction:
-    """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2))
-    = n!/(n+k)! * sum_{j=0}^{k} (-1)^j C(n+k, j) S(n+k-j, k-j),
+    """B_{n,k}(1/2, 1/3, ..., 1/(n-k+2)) = n!/(n+k)! * B_{n+k,k}(0, 1, ..., 1),
     where diagonal[i] holds S(n+i, i) for 0 <= i <= k.
 
-    The sum is taken in integers.  C(n+k, j) is updated step by step; each
-    division is exact, because c*(n+k-j) is (j+1)*C(n+k, j+1).
+    This is the rescaling identity at x = 1 (see
+    `bell_scaling_identity_lhs_rhs`), and the same diagonal holds the cells
+    `bell_zero_one` reads at (n+k, k), so it checks their number.
     """
     _check_indices(n, k)
-    check_cells(diagonal, k + 1)
-    total = 0
-    c = 1  # C(n+k, j)
-    for j in range(k + 1):
-        term = c * diagonal[k - j]
-        total += -term if j & 1 else term
-        c = c * (n + k - j) // (j + 1)
-    return Fraction(math.factorial(n), math.factorial(n + k)) * total
+    return Fraction(math.factorial(n), math.factorial(n + k)) * bell_zero_one(
+        n + k, k, diagonal
+    )
 
 
 def bell_scaling_identity_lhs_rhs(

@@ -222,15 +222,6 @@ def power_sum_numerators(p: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
-    """The coefficients A_0..A_{p+1} of the polynomial identity
-    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m, as reduced Fractions:
-    `power_sum_numerators(p)` over (p+1)!."""
-    numerators = power_sum_numerators(p)
-    scale = math.factorial(p + 1)
-    return tuple(Fraction(c, scale) for c in numerators)
-
-
 def bernoulli_guo_qi(k: int) -> Fraction:
     """B_{2k} = 1/2 - 1/(2k+1) - 2k * sum_{i=1}^{k-1} A_{2(k-i)} / (2(k-i)+1).
 

@@ -9,9 +9,10 @@ library raises on the given arguments (such as `bell 2 4` or
 An argument below its fixed lower bound reads `<name> must be >= <low>, got
 <value>`.  An index argument (`bernoulli N`, `bell N K`, `--max-n`) is
 ASCII digits with an optional sign; argparse rejects any other token, `1_0`
-and non-ASCII digits included.  A command interrupted by Ctrl-C (SIGINT),
-while it computes or while it writes, prints `error: interrupted` on stderr
-and exits 130.
+and non-ASCII digits included.  A message that quotes a rejected token
+quotes at most its first 40 characters.  A command interrupted by Ctrl-C
+(SIGINT), while it computes or while it writes, prints `error: interrupted`
+on stderr and exits 130.
 
 `verify` and `bench` run one cross-check handler over `cross_verify`:
 verify renders each entry's agreement with the oracle, bench the time its
@@ -49,7 +50,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
 from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
-from .exact import RECORDS, check_at_least, format_rational, parse_rational, render
+from .exact import (
+    RECORDS,
+    check_at_least,
+    format_rational,
+    parse_rational,
+    quote_rejected,
+    render,
+)
 from .stirling import stirling_rows
 from .verify import cross_verify
 
@@ -95,7 +103,7 @@ def _cap() -> int:
     except argparse.ArgumentTypeError:
         cap = None
     if cap is None or cap < 0:
-        raise UsageError("BERNSTIR_MAX_N must be an integer >= 0, got %r" % raw)
+        raise UsageError("BERNSTIR_MAX_N must be an integer >= 0, got " + quote_rejected(raw))
     return cap
 
 
@@ -116,7 +124,7 @@ def _index(text: str) -> int:
             return int(text)
     except ValueError:  # past the int-to-str digit limit
         pass
-    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    raise argparse.ArgumentTypeError("invalid int value: " + quote_rejected(text))
 
 
 def _parse_method(name: str) -> Method:
@@ -124,7 +132,8 @@ def _parse_method(name: str) -> Method:
         return Method(name)
     except ValueError:
         raise UsageError(
-            "unknown method %r; choose from: %s or all" % (name, ", ".join(METHOD_NAMES))
+            "unknown method %s; choose from: %s or all"
+            % (quote_rejected(name), ", ".join(METHOD_NAMES))
         ) from None
 
 

@@ -9,7 +9,8 @@ point.
 Every record the package prints, a verification report's included, is
 written from one table of `%` templates, RECORDS, by `render`.  An
 argument below its fixed lower bound is refused by `check_at_least`, so
-that error reads the same wherever it is raised.
+that error reads the same wherever it is raised, and a rejected input is
+echoed in an error by `quote_rejected`, so that a long one stays short.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from typing import Sequence
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 _ECHO = 40  # characters of rejected input quoted back in the error
+
+
+def quote_rejected(text: str) -> str:
+    """`text` quoted as %r quotes it, cut to its first 40 characters and
+    followed by "..." when it is longer: how an error message quotes an
+    input it rejects."""
+    return repr(text[:_ECHO]) + ("..." if len(text) > _ECHO else "")
 
 
 def check_at_least(name: str, value: int, low: int) -> None:
@@ -47,8 +55,7 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL.fullmatch(text)
     den = _digits_to_int(match[2]) if match and match[2] else 1
     if match is None or den == 0:
-        tail = "..." if len(text) > _ECHO else ""
-        raise ValueError("not a rational: %r%s" % (text[:_ECHO], tail))
+        raise ValueError("not a rational: " + quote_rejected(text))
     return Fraction(_digits_to_int(match[1]), den)
 
 

@@ -2,8 +2,9 @@
 
 This is the independent oracle for every generating function in the
 package: Bernoulli numbers fall out of one exact long division, and Bell
-polynomial values, Stirling numbers among them, out of powers of an
-exponential-coefficient series.
+polynomial values out of powers of an exponential-coefficient series.  At
+the arguments (1, ..., 1) that value is S(n, k), so the EGF is also a
+Stirling route; `verify.identity_suite` checks it there at every (n, k).
 
 `bernoulli_series` runs the long division of t/(e^t - 1) with every
 coefficient multiplied through by j!, on integer numerators over one common
@@ -60,12 +61,6 @@ def bernoulli_series(order: int) -> list[Fraction]:
         numerators.append(value.numerator * (common // den))
         values.append(value)
     return values
-
-
-def stirling_egf_coeff(n: int, k: int) -> Fraction:
-    """n!/k! times the t^n coefficient of (e^t - 1)^k; equals S(n, k),
-    which is B_{n,k}(1, ..., 1)."""
-    return bell_egf_coeff(n, k, [1] * (n - k + 1))
 
 
 def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:

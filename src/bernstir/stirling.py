@@ -1,12 +1,11 @@
-"""Stirling numbers of the second kind by two independent routes.
+"""Stirling numbers of the second kind by the additive recurrence.
 
-The additive recurrence is the production path, run as two streams:
-``stirling_rows`` yields the triangle one row at a time, and
-``stirling_diagonals`` yields the diagonals S(d+k, k) one column sweep at a
-time; each keeps only its latest item.  Every formula in the package reads
-its cells as such plain sequences, and ``check_cells`` is their one length
-check.  ``stirling_explicit`` evaluates the alternating binomial sum
-directly and serves as the cross-check.
+The recurrence runs as two streams: ``stirling_rows`` yields the triangle
+one row at a time, and ``stirling_diagonals`` yields the diagonals
+S(d+k, k) one column sweep at a time; each keeps only its latest item.
+Every formula in the package reads its cells as such plain sequences, and
+``check_cells`` is their one length check.  The tests check the cells
+against the explicit alternating binomial sum.
 
 ``associated_diagonals`` streams the 2-associated numbers S_2(d+k, k), the
 partitions into k blocks of size at least 2, by the same kind of column
@@ -20,7 +19,6 @@ times.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 from .exact import check_at_least
@@ -120,24 +118,3 @@ class StirlingTable:
             return 0
         return rows[n][k]
 
-
-def stirling_explicit(n: int, k: int) -> int:
-    """S(n, k) = (1/k!) * sum_{l=1}^{k} (-1)^(k-l) C(k, l) l^n.
-
-    Extended to k = 0 and k > n by the triangle conventions.  The alternating
-    sum is exactly divisible by k!; a failed division means the implementation
-    is broken, not the input.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("S(n, k) needs n, k >= 0, got (%d, %d)" % (n, k))
-    if k == 0:
-        return 1 if n == 0 else 0
-    if k > n:
-        return 0
-    total = sum((-1) ** (k - l) * math.comb(k, l) * l**n for l in range(1, k + 1))
-    q, r = divmod(total, math.factorial(k))
-    if r:
-        raise RuntimeError(
-            "alternating sum for S(%d, %d) is not divisible by %d!" % (n, k, k)
-        )
-    return q

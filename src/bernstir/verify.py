@@ -3,17 +3,17 @@
 ``cross_verify`` runs every applicable Bernoulli method over an index range
 and compares each value against the series oracle by exact rational
 equality.  ``identity_suite`` exercises the Bell-polynomial identities
-(closed forms, rescaling, EGF coefficient extraction) against the
-partition-sum evaluator on canonical and seeded random arguments, and the
-2-associated Stirling stream that the `bell` route reads against its
-closed form.
+(closed forms, rescaling, EGF coefficient extraction, which gives S(n, k)
+at the all-ones arguments) against the partition-sum evaluator on
+canonical and seeded random arguments, and the 2-associated Stirling
+stream that the `bell` route reads against its closed form.
 
 Mismatches are data, not errors: they land in the report, tallied as
 "unexpected" unless their method is on the caller's known-discrepancy list.
 
-Of the library's public names, three serve only the tests:
-`StirlingTable` and `power_sum_coeffs`, which the benchmark's traced run
-still wraps, and `stirling_explicit`, which waits for an identity row here.
+Every public name of the library is run by a command or by this engine,
+except `StirlingTable`, which serves only the tests and stays while the
+benchmark's traced run times its construction.
 
 A report renders from the package's one template table, ``exact.RECORDS``:
 as text, and as JSON equal to ``json.dumps(..., sort_keys=True, indent=2)``

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive enumeration, independent of the code
 paths under test, and intended for small n only (set partitions up to
-n = 10 or so).
+n = 10 or so).  Two helpers read the library instead: `power_sum_coeffs`
+divides its integer power-sum solve, and `report_to_dict` writes values
+with its `format_rational`.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
+from bernstir.bernoulli import power_sum_numerators
 from bernstir.exact import format_rational
 
 Block = tuple[int, ...]
@@ -41,6 +44,28 @@ def count_partitions_into(n: int, k: int, min_block: int = 1) -> int:
     )
 
 
+def stirling_explicit(n: int, k: int) -> int:
+    """S(n, k) = (1/k!) * sum_{l=1}^{k} (-1)^(k-l) C(k, l) l^n.
+
+    Extended to k = 0 and k > n by the triangle conventions.  The alternating
+    sum is exactly divisible by k!; a failed division means the implementation
+    is broken, not the input.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("S(n, k) needs n, k >= 0, got (%d, %d)" % (n, k))
+    if k == 0:
+        return 1 if n == 0 else 0
+    if k > n:
+        return 0
+    total = sum((-1) ** (k - l) * comb(k, l) * l**n for l in range(1, k + 1))
+    q, r = divmod(total, factorial(k))
+    if r:
+        raise RuntimeError(
+            "alternating sum for S(%d, %d) is not divisible by %d!" % (n, k, k)
+        )
+    return q
+
+
 def bell_by_set_partitions(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
     """B_{n,k}(x_1, ..., x_{n-k+1}) straight from its combinatorial meaning:
     sum over partitions into k blocks of the product of x_{block size}."""
@@ -54,6 +79,14 @@ def bell_by_set_partitions(n: int, k: int, xs: Sequence[Fraction | int]) -> Frac
             prod *= vals[len(block) - 1]
         total += prod
     return total
+
+
+def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
+    """The coefficients A_0..A_{p+1} of the polynomial identity
+    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m, as reduced Fractions:
+    the library's `power_sum_numerators(p)` over (p+1)!."""
+    scale = factorial(p + 1)
+    return tuple(Fraction(c, scale) for c in power_sum_numerators(p))
 
 
 def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:

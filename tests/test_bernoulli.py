@@ -19,7 +19,6 @@ from bernstir.bernoulli import (
     bernoulli_oracle,
     bernoulli_theorem,
     cells_at,
-    power_sum_coeffs,
     stirling_cells,
     supported_methods,
     supports,
@@ -36,6 +35,7 @@ from oracles import (
     double_stirling_fraction,
     guo_qi_fraction,
     logan_fraction,
+    power_sum_coeffs,
     power_sum_coeffs_fraction,
     power_sum_coeffs_solved,
     theorem_fraction,

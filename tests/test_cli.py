@@ -489,6 +489,34 @@ def test_env_cap_takes_a_sign(capsys, monkeypatch):
     assert run_cli(capsys, "bernoulli", "0", "--method", "oracle") == (0, "1\n", "")
 
 
+# A rejected token is quoted back to at most 40 characters, then "...".
+def test_a_long_rejected_rational_is_quoted_short(capsys):
+    for token, tail in [("x" * 40, ""), ("x" * 5000, "...")]:
+        message = "error: not a rational: '%s'%s\n" % ("x" * 40, tail)
+        assert run_cli(capsys, "bell", "1", "1", "--args", token) == (64, "", message)
+
+
+def test_a_long_rejected_index_is_quoted_short(capsys):
+    # digits past the int-to-str digit limit break the index rule
+    message = "error: argument n: invalid int value: '%s'...\n" % ("1" * 40)
+    assert run_cli(capsys, "bernoulli", "1" * 5000) == (64, "", message)
+
+
+def test_a_long_rejected_cap_is_quoted_short(capsys, monkeypatch):
+    monkeypatch.setenv("BERNSTIR_MAX_N", "9" * 5001)
+    message = "error: BERNSTIR_MAX_N must be an integer >= 0, got '%s'...\n" % ("9" * 40)
+    assert run_cli(capsys, "bernoulli", "0", "--method", "oracle") == (64, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv", [("bernoulli", "2", "--method"), ("bench", "--max-n", "2", "--methods")]
+)
+def test_a_long_rejected_method_name_is_quoted_short(capsys, argv):
+    message = "error: unknown method '%s'...; choose from: %s or all\n" % (
+        "x" * 40, ", ".join(METHOD_NAMES))
+    assert run_cli(capsys, *argv, "x" * 5001) == (64, "", message)
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "bernoulli", "4", "--method", "bogus")
     assert code == 64

@@ -1,10 +1,13 @@
+import ast
 import inspect
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bernstir
 from bernstir.bernoulli import (
     Method,
     alternating_double_sum,
@@ -139,3 +142,17 @@ def test_every_lower_bound_reads_one_format(capsys, function, args, message):
     else:  # the CLI reports its own bound on stderr, with exit 64
         assert function is main
         assert (result, capsys.readouterr()) == (64, ("", "error: %s\n" % message))
+
+
+def test_every_public_name_has_a_library_user():
+    # Every name the package exports is read by the package itself, outside
+    # __init__.py.  identity_suite is the engine's entry point, which CI
+    # calls; StirlingTable stays while the benchmark times its construction.
+    used = set()
+    for path in pathlib.Path(bernstir.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+    unused = set(bernstir.__all__) - used - {"identity_suite", "StirlingTable"}
+    assert not unused, sorted(unused)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstir.bell import bell_partition_sum
-from bernstir.series import bell_egf_coeff, bernoulli_series, stirling_egf_coeff
+from bernstir.series import bell_egf_coeff, bernoulli_series
 from bernstir.stirling import stirling_rows
 
 from oracles import (
@@ -89,14 +89,15 @@ def test_bernoulli_series_odd_indices_vanish():
 
 
 def test_stirling_egf_known_values():
-    assert stirling_egf_coeff(4, 2) == 7
-    assert stirling_egf_coeff(6, 3) == 90
+    # S(n, k) is B_{n,k}(1, ..., 1), with n - k + 1 ones
+    assert bell_egf_coeff(4, 2, [1] * 3) == 7
+    assert bell_egf_coeff(6, 3, [1] * 4) == 90
     for k in range(9):
-        assert stirling_egf_coeff(k, k) == 1
-    assert stirling_egf_coeff(0, 0) == 1
-    assert stirling_egf_coeff(5, 0) == 0
+        assert bell_egf_coeff(k, k, [1]) == 1
+    assert bell_egf_coeff(0, 0, [1]) == 1
+    assert bell_egf_coeff(5, 0, [1] * 6) == 0
     with pytest.raises(ValueError):
-        stirling_egf_coeff(2, 3)
+        bell_egf_coeff(2, 3, [])  # k > n
 
 
 def test_bell_egf_known_values():
@@ -134,7 +135,7 @@ def test_stirling_egf_agrees_with_table():
     # cell by cell against the rows of the triangle, n <= 25
     for n, row in enumerate(stirling_rows(25)):
         for k, value in enumerate(row):
-            assert stirling_egf_coeff(n, k) == value, (n, k)
+            assert bell_egf_coeff(n, k, [1] * (n - k + 1)) == value, (n, k)
 
 
 def egf_power_fraction(n, k, xs):

@@ -7,11 +7,10 @@ from bernstir.stirling import (
     StirlingTable,
     associated_diagonals,
     stirling_diagonals,
-    stirling_explicit,
     stirling_rows,
 )
 
-from oracles import count_partitions_into, set_partitions
+from oracles import count_partitions_into, set_partitions, stirling_explicit
 
 
 def test_explicit_matches_partition_counts():
