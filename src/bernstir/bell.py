@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .exact import echo_int
 from .stirling import check_cells
 
 Args = Sequence[Fraction | int]
@@ -28,7 +29,9 @@ Args = Sequence[Fraction | int]
 
 def _check_indices(n: int, k: int) -> None:
     if not n >= k >= 1:
-        raise ValueError("B_{n,k} needs n >= k >= 1, got (%d, %d)" % (n, k))
+        raise ValueError(
+            "B_{n,k} needs n >= k >= 1, got (%s, %s)" % (echo_int(n), echo_int(k))
+        )
 
 
 def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
@@ -39,7 +42,8 @@ def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
     m = n - k + 1
     if len(xs) < m:
         raise ValueError(
-            "B_{%d,%d} needs arguments x_1..x_%d, got %d" % (n, k, m, len(xs))
+            "B_{%s,%s} needs arguments x_1..x_%s, got %d"
+            % (echo_int(n), echo_int(k), echo_int(m), len(xs))
         )
     xs = [Fraction(x) for x in xs[:m]]
     q = math.lcm(*(x.denominator for x in xs))

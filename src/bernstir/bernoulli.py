@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import check_at_least
+from .exact import check_at_least, echo_int
 from .series import bernoulli_series
 from .stirling import associated_diagonals, check_cells, stirling_diagonals, stirling_rows
 
@@ -41,29 +41,20 @@ class Method(enum.Enum):
     THEOREM = "theorem"
 
 
-class Reads(enum.Enum):
-    """The Stirling cells a route reads at index n: a diagonal of S, two
-    rows of S, or a diagonal of the 2-associated numbers S_2 (partitions
-    into blocks of size at least 2)."""
-
-    __hash__ = object.__hash__  # members are singletons compared by identity
-
-    DIAGONAL = "diagonal"  # S(n+i, i) for i = 0..n
-    ROWS = "rows"  # rows n and n+1 of the triangle
-    ASSOCIATED = "associated"  # S_2(n+k, k) for k = 0..n
-
-
-Cells = dict[Reads, Any]  # one item of stirling_cells: the cells per spec
+def _row_pairs(max_n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield rows n and n+1 of the triangle, (S(n, 0..n), S(n+1, 0..n+1)),
+    for n = 0..max_n."""
+    return itertools.pairwise(stirling_rows(max_n + 1))
 
 
 class Route(NamedTuple):
     """One method: B_n is defined for n >= `first` (even n only when
-    `even_only`), reads the Stirling cells `reads` (None: no Stirling
-    numbers), and is `compute(n, cells)` on those cells."""
+    `even_only`), reads item n of the Stirling stream `reads(max_n)` (None:
+    no Stirling numbers), and is `compute(n, cells)` on that item."""
 
     first: int
     even_only: bool
-    reads: Reads | None
+    reads: Callable[[int], Iterator] | None
     compute: Callable[[int, Any], Fraction]
     known_discrepancy: bool = False
 
@@ -74,14 +65,14 @@ ROUTES: dict[Method, Route] = {
     Method.ALTERNATING: Route(
         2, True, None, lambda n, c: bernoulli_alternating(n // 2), known_discrepancy=True
     ),
-    Method.BELL: Route(1, False, Reads.ASSOCIATED, lambda n, c: bernoulli_bell(n, c)),
+    Method.BELL: Route(1, False, associated_diagonals, lambda n, c: bernoulli_bell(n, c)),
     Method.DOUBLE_STIRLING: Route(
-        2, True, Reads.ROWS, lambda n, c: bernoulli_double_stirling(n // 2, c)
+        2, True, _row_pairs, lambda n, c: bernoulli_double_stirling(n // 2, c)
     ),
     Method.GUO_QI: Route(2, True, None, lambda n, c: bernoulli_guo_qi(n // 2)),
-    Method.LOGAN: Route(1, False, Reads.ROWS, lambda n, c: bernoulli_logan(n, c[0])),
+    Method.LOGAN: Route(1, False, _row_pairs, lambda n, c: bernoulli_logan(n, c[0])),
     Method.ORACLE: Route(0, False, None, lambda n, c: bernoulli_oracle(n)),
-    Method.THEOREM: Route(0, False, Reads.DIAGONAL, lambda n, c: bernoulli_theorem(n, c)),
+    Method.THEOREM: Route(0, False, stirling_diagonals, lambda n, c: bernoulli_theorem(n, c)),
 }
 
 
@@ -109,8 +100,8 @@ class UnsupportedIndexError(ValueError):
         domain = "even n >= 2" if route.even_only else "n >= %d" % route.first
         names = ", ".join(m.value for m in supported_methods(n))
         super().__init__(
-            "method '%s' is defined for %s only; methods defined at n=%d: %s"
-            % (method.value, domain, n, names)
+            "method '%s' is defined for %s only; methods defined at n=%s: %s"
+            % (method.value, domain, echo_int(n), names)
         )
 
 
@@ -313,31 +304,25 @@ def bernoulli_alternating(k: int) -> Fraction:
     return prefactor * alternating_double_sum(k)
 
 
-def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[Cells]:
-    """Yield, for n = 0..max_n in order, the cells that `methods` read at n:
-    the diagonals of `stirling_diagonals(max_n)`, the consecutive pairs of
-    `stirling_rows(max_n + 1)` and the diagonals of
-    `associated_diagonals(max_n)`, each stream advanced one step per n."""
+def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[dict]:
+    """Yield, for n = 0..max_n in order, the cells that `methods` read at n,
+    keyed by their routes' `reads`: one stream `reads(max_n)` per distinct
+    generator, advanced one step per n, so routes that read the same cells
+    share one stream."""
     check_at_least("max_n", max_n, 0)
-    reads = {ROUTES[m].reads for m in methods}
-    streams: dict[Reads, Iterator] = {}
-    if Reads.DIAGONAL in reads:
-        streams[Reads.DIAGONAL] = stirling_diagonals(max_n)
-    if Reads.ROWS in reads:
-        streams[Reads.ROWS] = itertools.pairwise(stirling_rows(max_n + 1))
-    if Reads.ASSOCIATED in reads:
-        streams[Reads.ASSOCIATED] = associated_diagonals(max_n)
+    generators = {ROUTES[m].reads for m in methods} - {None}
+    streams = {reads: reads(max_n) for reads in generators}
     for _ in range(max_n + 1):
-        yield {spec: next(stream) for spec, stream in streams.items()}
+        yield {reads: next(stream) for reads, stream in streams.items()}
 
 
-def cells_at(n: int, methods: Iterable[Method]) -> Cells:
+def cells_at(n: int, methods: Iterable[Method]) -> dict:
     """The last item of `stirling_cells(n, methods)`."""
     check_at_least("n", n, 0)
     return collections.deque(stirling_cells(n, methods), maxlen=1).pop()
 
 
-def bernoulli(n: int, method: Method | str, cells: Cells | None = None) -> Fraction:
+def bernoulli(n: int, method: Method | str, cells: dict | None = None) -> Fraction:
     """Compute B_n by the chosen method.
 
     Raises UnsupportedIndexError when the method does not define B_n; the

@@ -9,10 +9,10 @@ library raises on the given arguments (such as `bell 2 4` or
 An argument below its fixed lower bound reads `<name> must be >= <low>, got
 <value>`.  An index argument (`bernoulli N`, `bell N K`, `--max-n`) is
 ASCII digits with an optional sign; argparse rejects any other token, `1_0`
-and non-ASCII digits included.  A message that quotes a rejected token
-quotes at most its first 40 characters.  A command interrupted by Ctrl-C
-(SIGINT), while it computes or while it writes, prints `error: interrupted`
-on stderr and exits 130.
+and non-ASCII digits included.  A message that quotes a rejected token or
+echoes an integer shows at most its first 40 characters.  A command
+interrupted by Ctrl-C (SIGINT), while it computes or while it writes,
+prints `error: interrupted` on stderr and exits 130.
 
 `verify` and `bench` run one cross-check handler over `cross_verify`:
 verify renders each entry's agreement with the oracle, bench the time its
@@ -53,6 +53,7 @@ from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
 from .exact import (
     RECORDS,
     check_at_least,
+    echo_int,
     format_rational,
     parse_rational,
     quote_rejected,
@@ -92,26 +93,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _cap() -> int:
-    """BERNSTIR_MAX_N, read by the rule of the index arguments; unset or
-    empty, it is DEFAULT_CAP."""
-    raw = os.environ.get("BERNSTIR_MAX_N", "")
-    if not raw:
-        return DEFAULT_CAP
-    try:
-        cap = _index(raw)
-    except argparse.ArgumentTypeError:
-        cap = None
-    if cap is None or cap < 0:
-        raise UsageError("BERNSTIR_MAX_N must be an integer >= 0, got " + quote_rejected(raw))
-    return cap
-
-
 def _check_cap(value: int, name: str) -> None:
-    cap = _cap()
+    """Raise UsageError when `value` exceeds BERNSTIR_MAX_N, read by the rule
+    of the index arguments; unset or empty, the cap is DEFAULT_CAP."""
+    raw = os.environ.get("BERNSTIR_MAX_N", "")
+    cap = DEFAULT_CAP
+    if raw:
+        try:
+            cap = _index(raw)
+        except argparse.ArgumentTypeError:
+            cap = -1
+        if cap < 0:
+            raise UsageError("BERNSTIR_MAX_N must be an integer >= 0, got " + quote_rejected(raw))
     if value > cap:
         raise UsageError(
-            "%s=%d exceeds the BERNSTIR_MAX_N cap of %d" % (name, value, cap)
+            "%s=%s exceeds the BERNSTIR_MAX_N cap of %s" % (name, echo_int(value), echo_int(cap))
         )
 
 

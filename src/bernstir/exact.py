@@ -9,8 +9,9 @@ point.
 Every record the package prints, a verification report's included, is
 written from one table of `%` templates, RECORDS, by `render`.  An
 argument below its fixed lower bound is refused by `check_at_least`, so
-that error reads the same wherever it is raised, and a rejected input is
-echoed in an error by `quote_rejected`, so that a long one stays short.
+that error reads the same wherever it is raised.  An error echoes a
+rejected input through `quote_rejected` and an integer through `echo_int`,
+so that a long one stays short.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
-_ECHO = 40  # characters of rejected input quoted back in the error
+_ECHO = 40  # characters of an input or integer echoed back in an error
 
 
 def quote_rejected(text: str) -> str:
@@ -31,11 +32,19 @@ def quote_rejected(text: str) -> str:
     return repr(text[:_ECHO]) + ("..." if len(text) > _ECHO else "")
 
 
+def echo_int(value: int) -> str:
+    """`value` in decimal, cut to its first 40 characters and followed by
+    "..." when it is longer: how an error message echoes an integer, one
+    past the int-to-str digit limit included."""
+    text = format_rational(value)
+    return text[:_ECHO] + ("..." if len(text) > _ECHO else "")
+
+
 def check_at_least(name: str, value: int, low: int) -> None:
     """Raise ValueError("<name> must be >= <low>, got <value>") when
     value < low."""
     if value < low:
-        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+        raise ValueError("%s must be >= %d, got %s" % (name, low, echo_int(value)))
 
 
 def _digits_to_int(digits: str) -> int:

@@ -135,6 +135,21 @@ def power_sum_coeffs_solved(p: int) -> tuple[Fraction, ...]:
     return tuple(a)
 
 
+def power_sum_coeffs_stepped(max_p: int) -> Iterator[tuple[Fraction, ...]]:
+    """Yield the same A_0..A_{p+1} as `power_sum_coeffs_fraction` for
+    p = 0..max_p, each tuple from the one before.
+
+    Differentiating P_p(x) - P_p(x-1) = x^p shows that P_p' - p P_{p-1} is
+    constant, so j A_j^(p) = p A_{j-1}^(p-1) for j >= 2; then P_p(1) = 1
+    gives A_1^(p) = 1 - sum_{j>=2} A_j^(p)."""
+    coeffs = (Fraction(0), Fraction(1))
+    yield coeffs
+    for p in range(1, max_p + 1):
+        high = [p * coeffs[j - 1] / j for j in range(2, p + 2)]
+        coeffs = (Fraction(0), 1 - sum(high), *high)
+        yield coeffs
+
+
 # Fraction transcriptions of the Stirling routes, one Fraction per term, as
 # the routes were written before they were summed in integers.  Each reads
 # the same cells as its route: diagonal[i] = S(n+i, i), row[k] = S(n, k),

@@ -7,7 +7,6 @@ import pytest
 from bernstir.bernoulli import (
     ROUTES,
     Method,
-    Reads,
     UnsupportedIndexError,
     alternating_double_sum,
     bernoulli,
@@ -25,7 +24,7 @@ from bernstir.bernoulli import (
 )
 from bernstir.bell import bell_zero_one
 from bernstir.series import bernoulli_series
-from bernstir.stirling import StirlingTable, stirling_diagonals
+from bernstir.stirling import StirlingTable, associated_diagonals, stirling_diagonals
 from bernstir.verify import cross_verify
 
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     power_sum_coeffs,
     power_sum_coeffs_fraction,
     power_sum_coeffs_solved,
+    power_sum_coeffs_stepped,
     theorem_fraction,
 )
 
@@ -59,13 +59,18 @@ def associated(table, n):
     return [int(n == 0)] + [bell_zero_one(n + k, k, cells) for k in range(1, len(cells))]
 
 
-TABLE_READS = {Reads.DIAGONAL: diagonal, Reads.ROWS: rows, Reads.ASSOCIATED: associated}
+# each stream a route reads, and how to read its item n from a table
+TABLE_READS = {
+    ROUTES[Method.THEOREM].reads: diagonal,
+    ROUTES[Method.LOGAN].reads: rows,
+    ROUTES[Method.BELL].reads: associated,
+}
 
 
-def table_cells(table, n, specs=tuple(Reads)):
-    """What stirling_cells yields at n for the cell specs `specs`, read from
+def table_cells(table, n, streams=tuple(TABLE_READS)):
+    """What stirling_cells yields at n for the streams `streams`, read from
     `table` instead."""
-    return {spec: TABLE_READS[spec](table, n) for spec in specs if spec is not None}
+    return {reads: TABLE_READS[reads](table, n) for reads in streams if reads is not None}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +93,7 @@ def test_theorem_table_too_small():
 def test_bell_sum_known_values():
     assert bernoulli_bell(1, [0, 1]) == Fraction(-1, 2)
     assert bernoulli_bell(2, [0, 1, 3]) == Fraction(1, 6)  # (-4*1 + 2*3)/12
-    assert bernoulli_bell(5, cells_at(5, [Method.BELL])[Reads.ASSOCIATED]) == 0
+    assert bernoulli_bell(5, cells_at(5, [Method.BELL])[associated_diagonals]) == 0
     with pytest.raises(ValueError):
         bernoulli_bell(0, [1])
 
@@ -131,10 +136,15 @@ def test_power_sum_matches_fraction_solver():
 
 
 def test_guo_qi_equals_the_fraction_transcription_on_fraction_coefficients():
-    # the whole route, integer core included, against Fraction arithmetic only
-    for k in range(1, 151):
-        coeffs = power_sum_coeffs_solved(2 * k - 1)
-        assert bernoulli_guo_qi(k) == guo_qi_fraction(k, coeffs), k
+    # the whole route, integer core included, against Fraction arithmetic
+    # only, for k = 1..150; the stepped coefficients equal the top-down solve
+    # wherever it is checked
+    for p, coeffs in enumerate(power_sum_coeffs_stepped(299)):
+        if p <= 60:
+            assert coeffs == power_sum_coeffs_solved(p), p
+        if p % 2:
+            k = (p + 1) // 2
+            assert bernoulli_guo_qi(k) == guo_qi_fraction(k, coeffs), k
 
 
 def test_guo_qi_known_values():
@@ -193,6 +203,19 @@ def test_dispatcher_rejects_unsupported_index():
         bernoulli(-1, Method.ORACLE)
     with pytest.raises(ValueError):
         bernoulli(2, "no-such-method")
+
+
+@pytest.mark.parametrize(
+    "methods, streams",
+    [
+        ([Method.LOGAN, Method.DOUBLE_STIRLING], 1),
+        (Method, 3),
+        ([Method.GUO_QI, Method.ORACLE], 0),
+    ],
+)
+def test_routes_that_read_the_same_cells_share_one_stream(methods, streams):
+    for cells in stirling_cells(3, methods):
+        assert len(cells) == streams
 
 
 @pytest.mark.parametrize("methods", [[Method.THEOREM], [], list(Method)])
@@ -364,7 +387,7 @@ class CountingSequence(Sequence):
 
 def test_bell_reads_each_diagonal_cell_once():
     for n in (1, 2, 7, 30):
-        diagonal = CountingSequence(cells_at(n, [Method.BELL])[Reads.ASSOCIATED])
+        diagonal = CountingSequence(cells_at(n, [Method.BELL])[associated_diagonals])
         assert bernoulli_bell(n, diagonal) == bernoulli_series(n)[n]
         assert diagonal.reads <= n + 1, n
 
@@ -373,5 +396,5 @@ def test_bell_equals_the_route_over_the_stirling_diagonal():
     streams = zip(stirling_cells(150, [Method.BELL]), stirling_diagonals(150))
     for n, (cells, diagonal) in enumerate(streams):
         if n:
-            value = bernoulli_bell(n, cells[Reads.ASSOCIATED])
+            value = bernoulli_bell(n, cells[associated_diagonals])
             assert value == bell_over_diagonal(n, diagonal), n

@@ -517,6 +517,45 @@ def test_a_long_rejected_method_name_is_quoted_short(capsys, argv):
     assert run_cli(capsys, *argv, "x" * 5001) == (64, "", message)
 
 
+NINES = "9" * 4000  # an index the index rule accepts, far past any cap
+ECHOED = "9" * 40 + "..."
+
+
+def test_a_long_index_past_the_cap_is_echoed_short(capsys, monkeypatch):
+    message = "error: n=%s exceeds the BERNSTIR_MAX_N cap of 10000\n" % ECHOED
+    assert run_cli(capsys, "bernoulli", NINES) == (64, "", message)
+    assert run_cli(capsys, "bell", NINES, "1", "--args", "1") == (64, "", message)
+    monkeypatch.setenv("BERNSTIR_MAX_N", NINES)
+    message = "error: n=1%s... exceeds the BERNSTIR_MAX_N cap of %s\n" % ("0" * 39, ECHOED)
+    assert run_cli(capsys, "bernoulli", "1" + "0" * 4000) == (64, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("bernoulli", "-" + NINES), "n"), (("stirling", "--max-n", "-" + NINES), "--max-n")],
+)
+def test_a_long_index_below_its_bound_is_echoed_short(capsys, argv, name):
+    message = "error: %s must be >= 0, got -%s...\n" % (name, "9" * 39)
+    assert run_cli(capsys, *argv) == (64, "", message)
+
+
+def test_a_long_bell_index_is_echoed_short(capsys, monkeypatch):
+    message = "error: B_{n,k} needs n >= k >= 1, got (5, %s)\n" % ECHOED
+    assert run_cli(capsys, "bell", "5", NINES, "--args", "1") == (64, "", message)
+    monkeypatch.setenv("BERNSTIR_MAX_N", NINES)
+    message = "error: B_{%s,1} needs arguments x_1..x_%s, got 1\n" % (ECHOED, ECHOED)
+    assert run_cli(capsys, "bell", NINES, "1", "--args", "1") == (64, "", message)
+
+
+def test_a_long_unsupported_index_is_echoed_short(capsys, monkeypatch):
+    monkeypatch.setenv("BERNSTIR_MAX_N", NINES)
+    message = (
+        "error: method 'guo-qi' is defined for even n >= 2 only; methods defined at n=%s: "
+        "bell, logan, oracle, theorem\n" % ECHOED
+    )
+    assert run_cli(capsys, "bernoulli", NINES, "--method", "guo-qi") == (64, "", message)
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "bernoulli", "4", "--method", "bogus")
     assert code == 64

@@ -24,7 +24,7 @@ from bernstir.bernoulli import (
     stirling_cells,
 )
 from bernstir.cli import main
-from bernstir.exact import format_rational, parse_rational
+from bernstir.exact import echo_int, format_rational, parse_rational
 from bernstir.series import bernoulli_series
 from bernstir.stirling import associated_diagonals, stirling_diagonals, stirling_rows
 from bernstir.verify import cross_verify, identity_suite
@@ -102,6 +102,13 @@ def test_parse_error_echoes_bounded_input():
     with pytest.raises(ValueError) as info:
         parse_rational("1" * 5000 + "/0")
     assert len(str(info.value)) < 70
+
+
+def test_echo_int_keeps_the_first_40_characters():
+    assert echo_int(10**39) == "1" + "0" * 39
+    assert echo_int(-(10**38)) == "-1" + "0" * 38
+    assert echo_int(10**40) == "1" + "0" * 39 + "..."
+    assert echo_int(-(10**5000)) == "-1" + "0" * 38 + "..."  # past the int-to-str limit
 
 
 # Every lower bound on an argument, with the call one below it.
