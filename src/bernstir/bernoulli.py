@@ -1,9 +1,10 @@
 """Bernoulli numbers by six independent published formulas plus the series
 oracle.  ``ROUTES`` is the one place that says what each method is: its
-domain, the Stirling cells it reads, how to call it, and whether it is a
-known discrepancy; ``bernoulli`` dispatches through it.  The Stirling
-routes read plain integer sequences, which ``stirling_cells`` streams in
-step with n, so no caller holds the whole triangle.
+domain, the stream it reads, how to call it, and whether it is a known
+discrepancy; ``bernoulli`` dispatches through it.  The Stirling routes and
+``guo-qi`` read plain integer sequences, Stirling cells or power-sum
+numerators, which ``stirling_cells`` streams in step with n, so no caller
+holds the whole triangle or solves for a single exponent.
 
 All methods agree exactly with the oracle, with one deliberate exception:
 the "alternating" double-sum formula is implemented verbatim from its
@@ -47,10 +48,32 @@ def _row_pairs(max_n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     return itertools.pairwise(stirling_rows(max_n + 1))
 
 
+def _power_sums(max_n: int) -> Iterator[tuple[int, ...]]:
+    """Yield, for n = 0..max_n, the integers c_j = n! A_j, j = 0..n, of the
+    power-sum identity sum_{m=1}^{x} m^p = sum_j A_j x^j for p = n-1; item 0
+    is empty.
+
+    Differentiating P_p(x) - P_p(x-1) = x^p shows j A_j^(p) = p A_{j-1}^(p-1)
+    for j >= 2, so c_j^(p) = (p+1) p c_{j-1}^(p-1)/j, an exact division.
+    P_p(1) = 1 then gives c_1^(p) = (p+1)! - sum_{j>=2} c_j^(p), and c_0 = 0.
+    No Bernoulli number enters, so the route built on it stays non-circular.
+    """
+    check_at_least("max_n", max_n, 0)
+    coeffs: tuple[int, ...] = ()
+    yield coeffs
+    scale = 1  # (p+1)!
+    for p in range(max_n):
+        scale *= p + 1
+        step = (p + 1) * p
+        high = [step * c // j for j, c in enumerate(coeffs[1:], 2)]
+        coeffs = (0, scale - sum(high), *high)
+        yield coeffs
+
+
 class Route(NamedTuple):
     """One method: B_n is defined for n >= `first` (even n only when
-    `even_only`), reads item n of the Stirling stream `reads(max_n)` (None:
-    no Stirling numbers), and is `compute(n, cells)` on that item."""
+    `even_only`), reads item n of the stream `reads(max_n)` (None: it reads
+    no stream), and is `compute(n, cells)` on that item."""
 
     first: int
     even_only: bool
@@ -69,7 +92,7 @@ ROUTES: dict[Method, Route] = {
     Method.DOUBLE_STIRLING: Route(
         2, True, _row_pairs, lambda n, c: bernoulli_double_stirling(n // 2, c)
     ),
-    Method.GUO_QI: Route(2, True, None, lambda n, c: bernoulli_guo_qi(n // 2)),
+    Method.GUO_QI: Route(2, True, _power_sums, lambda n, c: bernoulli_guo_qi(n // 2, c)),
     Method.LOGAN: Route(1, False, _row_pairs, lambda n, c: bernoulli_logan(n, c[0])),
     Method.ORACLE: Route(0, False, None, lambda n, c: bernoulli_oracle(n)),
     Method.THEOREM: Route(0, False, stirling_diagonals, lambda n, c: bernoulli_theorem(n, c)),
@@ -174,63 +197,25 @@ def bernoulli_logan(n: int, row: Sequence[int]) -> Fraction:
     return Fraction(total, lcm)
 
 
-def power_sum_numerators(p: int) -> tuple[int, ...]:
-    """The coefficients A_0..A_{p+1} of the polynomial identity
-    sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m (so A_0 = 0 always), as the
-    integers L! A_m over the one denominator L! = (p+1)!.
-
-    Evaluating both sides at n = 0..L pins the unique coefficient vector
-    (a Vandermonde system on distinct nodes); it is solved exactly by Newton
-    interpolation on those nodes.  No Bernoulli numbers are involved, so the
-    recursion built on top of this stays non-circular.
-
-    The work stays in integers: on the nodes 0..L the Newton form is
-    sum_l (Delta^l y_0 / l!) x(x-1)...(x-l+1), so scaling by L! makes every
-    weight Delta^l y_0 * L!/l! an integer.  The forward differences and the
-    expansion into monomials are integer arithmetic.
-    """
-    check_at_least("exponent", p, 0)
-    top = p + 1
-    diffs = [0]
-    acc = 0
-    for node in range(1, top + 1):
-        acc += node**p
-        diffs.append(acc)
-    # in place, diffs[l] becomes the forward difference Delta^l y_0
-    for level in range(1, top + 1):
-        for j in range(top, level - 1, -1):
-            diffs[j] -= diffs[j - 1]
-    # Horner on the Newton form, weights scaled by L!: poly = poly*(x - j) + w_j
-    scale = 1  # L!/l! for the current l
-    poly = [diffs[top]]
-    for j in range(top - 1, -1, -1):
-        scale *= j + 1
-        nxt = [0] + poly
-        for m, c in enumerate(poly):
-            nxt[m] -= j * c
-        nxt[0] += diffs[j] * scale
-        poly = nxt
-    return tuple(poly)
-
-
-def bernoulli_guo_qi(k: int) -> Fraction:
-    """B_{2k} = 1/2 - 1/(2k+1) - 2k * sum_{i=1}^{k-1} A_{2(k-i)} / (2(k-i)+1).
+def bernoulli_guo_qi(k: int, coeffs: Sequence[int]) -> Fraction:
+    """B_{2k} = 1/2 - 1/(2k+1) - 2k * sum_{i=1}^{k-1} A_{2(k-i)} / (2(k-i)+1),
+    where coeffs[m] holds c_m = (2k)! A_m for 0 <= m <= 2k.
 
     The A_m are the power-sum coefficients for exponent 2k-1.  That exponent
     choice is the one that reproduces B_4, B_6, ... exactly (exponent 2k does
     not), and the cross-verification suite revalidates it at every even index.
 
-    Summed in integers: A_m = c_m/L! with L = 2k and c_m from
-    `power_sum_numerators`, so the tail sum_m A_m/(m+1) over
-    m = 2, 4, ..., 2k-2 is sum_m c_m (M/(m+1)) over the one denominator
-    L! M, where M = lcm(3, 5, ..., 2k-1).  1/2 - 1/(2k+1) = (2k-1)/(2(2k+1))
-    joins it over 2(2k+1) L! M, and the value is one Fraction.
+    Summed in integers: A_m = c_m/L! with L = 2k, so the tail
+    sum_m A_m/(m+1) over m = 2, 4, ..., 2k-2 is sum_m c_m (M/(m+1)) over the
+    one denominator L! M, where M = lcm(3, 5, ..., 2k-1).
+    1/2 - 1/(2k+1) = (2k-1)/(2(2k+1)) joins it over 2(2k+1) L! M, and the
+    value is one Fraction.
     """
     check_at_least("k", k, 1)
     n = 2 * k
+    check_cells(coeffs, n + 1)
     tail, common = 0, 1  # the tail is tail/common
     if k > 1:
-        coeffs = power_sum_numerators(n - 1)
         lcm = math.lcm(*range(3, n, 2))
         for m in range(2, n - 1, 2):
             tail += coeffs[m] * (lcm // (m + 1))
@@ -305,10 +290,11 @@ def bernoulli_alternating(k: int) -> Fraction:
 
 
 def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[dict]:
-    """Yield, for n = 0..max_n in order, the cells that `methods` read at n,
+    """Yield, for n = 0..max_n in order, the items that `methods` read at n,
     keyed by their routes' `reads`: one stream `reads(max_n)` per distinct
     generator, advanced one step per n, so routes that read the same cells
-    share one stream."""
+    share one stream.  The items are Stirling cells, or the power-sum
+    numerators that `guo-qi` reads."""
     check_at_least("max_n", max_n, 0)
     generators = {ROUTES[m].reads for m in methods} - {None}
     streams = {reads: reads(max_n) for reads in generators}

@@ -3,15 +3,18 @@
 Everything here is deliberately naive enumeration, independent of the code
 paths under test, and intended for small n only (set partitions up to
 n = 10 or so).  Two helpers read the library instead: `power_sum_coeffs`
-divides its integer power-sum solve, and `report_to_dict` writes values
-with its `format_rational`.
+divides an item of the power-sum stream that `guo-qi` reads, and
+`report_to_dict` writes values with its `format_rational`.  The two
+power-sum solves below, `power_sum_coeffs_fraction` and
+`power_sum_coeffs_solved`, do not use the stream's step rule, so they check
+it.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from bernstir.bernoulli import power_sum_numerators
+from bernstir.bernoulli import ROUTES, Method, cells_at
 from bernstir.exact import format_rational
 
 Block = tuple[int, ...]
@@ -84,9 +87,16 @@ def bell_by_set_partitions(n: int, k: int, xs: Sequence[Fraction | int]) -> Frac
 def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
     """The coefficients A_0..A_{p+1} of the polynomial identity
     sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m, as reduced Fractions:
-    the library's `power_sum_numerators(p)` over (p+1)!."""
-    scale = factorial(p + 1)
-    return tuple(Fraction(c, scale) for c in power_sum_numerators(p))
+    item p+1 of the library's stream `ROUTES[Method.GUO_QI].reads` over
+    (p+1)!."""
+    return power_sum_fractions(cells_at(p + 1, [Method.GUO_QI])[ROUTES[Method.GUO_QI].reads])
+
+
+def power_sum_fractions(numerators: Sequence[int]) -> tuple[Fraction, ...]:
+    """An item c_0..c_n of the library's power-sum stream as the Fractions
+    A_j = c_j/n!."""
+    scale = factorial(len(numerators) - 1)
+    return tuple(Fraction(c, scale) for c in numerators)
 
 
 def power_sum_coeffs_fraction(p: int) -> tuple[Fraction, ...]:
@@ -133,21 +143,6 @@ def power_sum_coeffs_solved(p: int) -> tuple[Fraction, ...]:
                 acc += -term if (m - j) & 1 else term
         a[j + 1] = acc / (j + 1)
     return tuple(a)
-
-
-def power_sum_coeffs_stepped(max_p: int) -> Iterator[tuple[Fraction, ...]]:
-    """Yield the same A_0..A_{p+1} as `power_sum_coeffs_fraction` for
-    p = 0..max_p, each tuple from the one before.
-
-    Differentiating P_p(x) - P_p(x-1) = x^p shows that P_p' - p P_{p-1} is
-    constant, so j A_j^(p) = p A_{j-1}^(p-1) for j >= 2; then P_p(1) = 1
-    gives A_1^(p) = 1 - sum_{j>=2} A_j^(p)."""
-    coeffs = (Fraction(0), Fraction(1))
-    yield coeffs
-    for p in range(1, max_p + 1):
-        high = [p * coeffs[j - 1] / j for j in range(2, p + 2)]
-        coeffs = (Fraction(0), 1 - sum(high), *high)
-        yield coeffs
 
 
 # Fraction transcriptions of the Stirling routes, one Fraction per term, as
@@ -200,6 +195,13 @@ def alternating_double_sum_verbatim(k: int) -> int:
         for i in range(k)
         for l in range(k - i)
     )
+
+
+def alternating_fraction(k: int) -> Fraction:
+    """The published alternating expression, prefactor included:
+    (-1)^(k-1) k / (2^(2(k-1)) (2^(2k) - 1)) times the double sum."""
+    prefactor = Fraction((-1) ** (k - 1) * k, 2 ** (2 * (k - 1)) * (2 ** (2 * k) - 1))
+    return prefactor * alternating_double_sum_verbatim(k)
 
 
 def logan_fraction(n: int, row) -> Fraction:

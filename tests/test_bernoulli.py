@@ -29,6 +29,7 @@ from bernstir.verify import cross_verify
 
 from oracles import (
     alternating_double_sum_verbatim,
+    alternating_fraction,
     bell_fraction,
     bell_over_diagonal,
     double_stirling_fraction,
@@ -37,7 +38,7 @@ from oracles import (
     power_sum_coeffs,
     power_sum_coeffs_fraction,
     power_sum_coeffs_solved,
-    power_sum_coeffs_stepped,
+    power_sum_fractions,
     theorem_fraction,
 )
 
@@ -68,9 +69,9 @@ TABLE_READS = {
 
 
 def table_cells(table, n, streams=tuple(TABLE_READS)):
-    """What stirling_cells yields at n for the streams `streams`, read from
-    `table` instead."""
-    return {reads: TABLE_READS[reads](table, n) for reads in streams if reads is not None}
+    """What stirling_cells yields at n for the Stirling streams among
+    `streams`, read from `table` instead."""
+    return {reads: TABLE_READS[reads](table, n) for reads in streams if reads in TABLE_READS}
 
 
 @pytest.fixture(scope="module")
@@ -136,23 +137,28 @@ def test_power_sum_matches_fraction_solver():
 
 
 def test_guo_qi_equals_the_fraction_transcription_on_fraction_coefficients():
-    # the whole route, integer core included, against Fraction arithmetic
-    # only, for k = 1..150; the stepped coefficients equal the top-down solve
-    # wherever it is checked
-    for p, coeffs in enumerate(power_sum_coeffs_stepped(299)):
-        if p <= 60:
-            assert coeffs == power_sum_coeffs_solved(p), p
-        if p % 2:
-            k = (p + 1) // 2
-            assert bernoulli_guo_qi(k) == guo_qi_fraction(k, coeffs), k
+    # the route's integer core against Fraction arithmetic on the streamed
+    # coefficients, for k = 1..150; the coefficients equal the top-down solve
+    # wherever it is checked, and every value equals the oracle series
+    series = bernoulli_series(300)
+    for n, numerators in enumerate(ROUTES[Method.GUO_QI].reads(300)):
+        if 1 <= n <= 61:
+            assert power_sum_fractions(numerators) == power_sum_coeffs_solved(n - 1), n
+        if n >= 2 and not n % 2:
+            k = n // 2
+            value = bernoulli_guo_qi(k, numerators)
+            assert value == guo_qi_fraction(k, power_sum_fractions(numerators)), k
+            assert value == series[n], k
 
 
 def test_guo_qi_known_values():
-    assert bernoulli_guo_qi(1) == Fraction(1, 6)  # 1/2 - 1/3, empty sum
-    assert bernoulli_guo_qi(2) == Fraction(-1, 30)
-    assert bernoulli_guo_qi(3) == Fraction(1, 42)
+    # (2k)! A_m for x^2/2 + x/2, x^4/4 + x^3/2 + x^2/4 and
+    # x^6/6 + x^5/2 + 5x^4/12 - x^2/12, the sums of m, m^3 and m^5
+    assert bernoulli_guo_qi(1, (0, 1, 1)) == Fraction(1, 6)  # 1/2 - 1/3, empty sum
+    assert bernoulli_guo_qi(2, (0, 0, 6, 12, 6)) == Fraction(-1, 30)
+    assert bernoulli_guo_qi(3, (0, 0, -60, 0, 300, 360, 120)) == Fraction(1, 42)
     with pytest.raises(ValueError):
-        bernoulli_guo_qi(0)
+        bernoulli_guo_qi(0, ())
 
 
 def test_double_stirling_known_values(table):
@@ -174,6 +180,12 @@ def test_alternating_evaluates_verbatim():
 def test_alternating_double_sum_equals_verbatim_sum():
     for k in range(1, 61):
         assert alternating_double_sum(k) == alternating_double_sum_verbatim(k), k
+
+
+def test_alternating_equals_the_published_expression():
+    # the prefactor too: at k = 1 it is 1 whatever its powers of 2 and -1
+    for k in range(1, 61):
+        assert bernoulli_alternating(k) == alternating_fraction(k), k
 
 
 def test_oracle_known_values():
@@ -209,13 +221,34 @@ def test_dispatcher_rejects_unsupported_index():
     "methods, streams",
     [
         ([Method.LOGAN, Method.DOUBLE_STIRLING], 1),
-        (Method, 3),
-        ([Method.GUO_QI, Method.ORACLE], 0),
+        (Method, 4),
+        ([Method.GUO_QI, Method.ORACLE], 1),
     ],
 )
 def test_routes_that_read_the_same_cells_share_one_stream(methods, streams):
     for cells in stirling_cells(3, methods):
         assert len(cells) == streams
+
+
+# Each cell-length check, with how to cut the route's item one cell short
+# at the place it checks.
+CELL_CHECKS = {
+    "theorem": (Method.THEOREM, lambda c: c[:-1]),
+    "bell": (Method.BELL, lambda c: c[:-1]),
+    "logan": (Method.LOGAN, lambda c: (c[0][:-1], c[1])),
+    "double-stirling-row": (Method.DOUBLE_STIRLING, lambda c: (c[0][:-1], c[1])),
+    "double-stirling-next-row": (Method.DOUBLE_STIRLING, lambda c: (c[0], c[1][:-1])),
+    "guo-qi": (Method.GUO_QI, lambda c: c[:-1]),
+}
+
+
+@pytest.mark.parametrize("method, cut", CELL_CHECKS.values(), ids=list(CELL_CHECKS))
+def test_each_cell_length_check_is_exact(method, cut):
+    # item 6 of the stream holds exactly the cells the route needs at 6
+    cells = cells_at(6, [method])[ROUTES[method].reads]
+    assert ROUTES[method].compute(6, cells) == bernoulli_series(6)[6]
+    with pytest.raises(ValueError, match=r"^needs \d+ Stirling cells, got \d+$"):
+        ROUTES[method].compute(6, cut(cells))
 
 
 @pytest.mark.parametrize("methods", [[Method.THEOREM], [], list(Method)])
@@ -326,8 +359,8 @@ INTEGER_KERNELS = {
         lambda n, c: double_stirling_fraction(n // 2, c),
     ),
     Method.GUO_QI: (
-        lambda n, c: bernoulli_guo_qi(n // 2),
-        lambda n, c: guo_qi_fraction(n // 2, power_sum_coeffs(n - 1)),
+        lambda n, c: bernoulli_guo_qi(n // 2, c),
+        lambda n, c: guo_qi_fraction(n // 2, power_sum_fractions(c)),
     ),
 }
 
@@ -344,14 +377,15 @@ def test_integer_kernel_equals_fraction_sum(method, table_300):
     for n, cells in enumerate(stirling_cells(150, [method])):
         if not supports(method, n):
             continue
-        expected = fraction_sum(n, table_cells(table_300, n, [reads]).get(reads))
-        assert kernel(n, cells.get(reads)) == expected, n
+        # the Stirling cells from the table, the power sums as streamed
+        expected = fraction_sum(n, table_cells(table_300, n, [reads]).get(reads, cells[reads]))
+        assert kernel(n, cells[reads]) == expected, n
 
 
 @pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
 def test_integer_kernel_equals_fraction_sum_at_400(method):
     kernel, fraction_sum = INTEGER_KERNELS[method]
-    cells = cells_at(400, [method]).get(ROUTES[method].reads)
+    cells = cells_at(400, [method])[ROUTES[method].reads]
     assert kernel(400, cells) == fraction_sum(400, cells)
 
 
@@ -364,8 +398,8 @@ def test_integer_kernels_at_first_index():
         n = ROUTES[method].first
         reads = ROUTES[method].reads
         expected = bernoulli_series(n)[n]
-        streamed = cells_at(n, [method]).get(reads)
-        from_table = table_cells(table, n, [reads]).get(reads)
+        streamed = cells_at(n, [method])[reads]
+        from_table = table_cells(table, n, [reads]).get(reads, streamed)
         assert kernel(n, streamed) == fraction_sum(n, from_table) == expected, method
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bernstir
 from bernstir.bernoulli import (
+    ROUTES,
     Method,
     alternating_double_sum,
     bernoulli,
@@ -20,7 +21,6 @@ from bernstir.bernoulli import (
     bernoulli_oracle,
     bernoulli_theorem,
     cells_at,
-    power_sum_numerators,
     stirling_cells,
 )
 from bernstir.cli import main
@@ -117,8 +117,8 @@ LOWER_BOUNDS = [
     (bernoulli_theorem, (-1, ()), "n must be >= 0, got -1"),
     (bernoulli_bell, (0, ()), "n must be >= 1, got 0"),
     (bernoulli_logan, (0, ()), "n must be >= 1, got 0"),
-    (power_sum_numerators, (-1,), "exponent must be >= 0, got -1"),
-    (bernoulli_guo_qi, (0,), "k must be >= 1, got 0"),
+    (ROUTES[Method.GUO_QI].reads, (-1,), "max_n must be >= 0, got -1"),
+    (bernoulli_guo_qi, (0, ()), "k must be >= 1, got 0"),
     (bernoulli_double_stirling, (0, ((), ())), "k must be >= 1, got 0"),
     (alternating_double_sum, (0,), "k must be >= 1, got 0"),
     (bernoulli_alternating, (0,), "k must be >= 1, got 0"),
