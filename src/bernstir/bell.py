@@ -21,8 +21,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import echo_int
-from .stirling import check_cells
+from .exact import check_cells, echo_int
 
 Args = Sequence[Fraction | int]
 

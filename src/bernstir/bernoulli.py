@@ -22,9 +22,9 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import check_at_least, echo_int
+from .exact import check_at_least, check_cells, echo_int
 from .series import bernoulli_series
-from .stirling import associated_diagonals, check_cells, stirling_diagonals, stirling_rows
+from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
 
 
 class Method(enum.Enum):

@@ -8,8 +8,9 @@ point.
 
 Every record the package prints, a verification report's included, is
 written from one table of `%` templates, RECORDS, by `render`.  An
-argument below its fixed lower bound is refused by `check_at_least`, so
-that error reads the same wherever it is raised.  An error echoes a
+argument below its fixed lower bound is refused by `check_at_least`, and a
+sequence shorter than a formula reads by `check_cells`, so each error reads
+the same wherever it is raised.  An error echoes a
 rejected input through `quote_rejected` and an integer through `echo_int`,
 so that a long one stays short.
 """
@@ -45,6 +46,14 @@ def check_at_least(name: str, value: int, low: int) -> None:
     value < low."""
     if value < low:
         raise ValueError("%s must be >= %d, got %s" % (name, low, echo_int(value)))
+
+
+def check_cells(cells: Sequence[int], length: int) -> None:
+    """Raise ValueError("needs <length> values, got <len(cells)>") unless
+    `cells` holds at least `length` values: the one length check of the
+    Stirling cells and power sums a formula reads."""
+    if len(cells) < length:
+        raise ValueError("needs %d values, got %d" % (length, len(cells)))
 
 
 def _digits_to_int(digits: str) -> int:

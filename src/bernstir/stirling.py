@@ -4,7 +4,7 @@ The recurrence runs as two streams: ``stirling_rows`` yields the triangle
 one row at a time, and ``stirling_diagonals`` yields the diagonals
 S(d+k, k) one column sweep at a time; each keeps only its latest item.
 Every formula in the package reads its cells as such plain sequences, and
-``check_cells`` is their one length check.  The tests check the cells
+``exact.check_cells`` is their one length check.  The tests check the cells
 against the explicit alternating binomial sum.
 
 ``associated_diagonals`` streams the 2-associated numbers S_2(d+k, k), the
@@ -19,15 +19,9 @@ times.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .exact import check_at_least
-
-
-def check_cells(cells: Sequence[int], length: int) -> None:
-    """Raise ValueError unless `cells` holds at least `length` cells."""
-    if len(cells) < length:
-        raise ValueError("needs %d Stirling cells, got %d" % (length, len(cells)))
 
 
 def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:

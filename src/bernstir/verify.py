@@ -8,8 +8,10 @@ at the all-ones arguments) against the partition-sum evaluator on
 canonical and seeded random arguments, and the 2-associated Stirling
 stream that the `bell` route reads against its closed form.
 
-Mismatches are data, not errors: they land in the report, tallied as
+Both only yield check rows, one per check, and one judge builds every report
+from them.  Mismatches are data, not errors: they land in the report as
 "unexpected" unless their method is on the caller's known-discrepancy list.
+Rows without a value are identity instances, which the judge counts.
 
 Every public name of the library is run by a command or by this engine,
 except `StirlingTable`, which serves only the tests and stays while the
@@ -25,9 +27,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .bell import (
     bell_partition_sum,
@@ -48,9 +49,11 @@ IDENTITY_EGF = "egf"
 
 
 class ReportEntry(NamedTuple):
-    """One (n, method) check.  `value` is None for identity rows, which
-    aggregate several argument instances and have no single rational value.
-    `elapsed_ns` is timing only: it takes no part in equality or rendering."""
+    """One check row, and one report entry: the judge merges the rows of one
+    (n, method) into an entry that agrees only when all of them do.  `value`
+    is None for an identity instance, which has no single rational value;
+    the judge counts such rows into `identity_counts`.  `elapsed_ns` is
+    timing only: it takes no part in equality or rendering."""
 
     n: int
     method: str
@@ -74,7 +77,7 @@ class VerificationReport(NamedTuple):
     checked: int
     mismatches: tuple[tuple[int, str], ...]
     known_discrepancies: tuple[tuple[int, str], ...]
-    # (identity, instances checked, instances passed); only identity_suite fills this
+    # (identity, instances checked, instances passed), from the rows without a value
     identity_counts: tuple[tuple[str, int, int], ...] = ()
 
     @property
@@ -120,6 +123,38 @@ class VerificationReport(NamedTuple):
         return text + "unexpected mismatches: none\n"
 
 
+def _judge(
+    max_n: int, rows: Iterable[ReportEntry], known: Collection[str] = ()
+) -> VerificationReport:
+    """The report on a stream of check rows.  The rows of one (n, method)
+    merge into one entry, which agrees only when all of them do; entries are
+    sorted by n, then method.  A failed entry is a known discrepancy when its
+    method is in `known`, else a mismatch.  Every row counts as checked, and
+    the rows without a value are tallied per name into `identity_counts`."""
+    merged: dict[tuple[int, str], ReportEntry] = {}
+    tally: dict[str, list[int]] = {}
+    checked = 0
+    for row in rows:
+        checked += 1
+        # an entry keeps its first row until a failing row replaces it
+        if merged.setdefault(row[:2], row).agrees_with_oracle and not row.agrees_with_oracle:
+            merged[row[:2]] = row
+        if row.value is None:
+            counts = tally.setdefault(row.method, [0, 0])
+            counts[0] += 1
+            counts[1] += row.agrees_with_oracle
+    entries = tuple(sorted(merged.values()))
+    failed = [e[:2] for e in entries if not e.agrees_with_oracle]
+    return VerificationReport(
+        max_n=max_n,
+        entries=entries,
+        checked=checked,
+        mismatches=tuple(key for key in failed if key[1] not in known),
+        known_discrepancies=tuple(key for key in failed if key[1] in known),
+        identity_counts=tuple((name, *tally[name]) for name in sorted(tally)),
+    )
+
+
 def cross_verify(
     max_n: int,
     known_discrepancies: Iterable[str] = (),
@@ -142,10 +177,12 @@ def cross_verify(
     chosen = [m for m in Method if m in methods]
     if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
         raise ValueError("no chosen method is defined at any n <= %d" % max_n)
+    return _judge(max_n, _route_rows(max_n, chosen), known)
+
+
+def _route_rows(max_n: int, chosen: list[Method]) -> Iterator[ReportEntry]:
+    # one row per (n, method): the method's value and the time of its call alone
     oracle = bernoulli_series(max_n)
-    entries: list[ReportEntry] = []
-    mismatches: list[tuple[int, str]] = []
-    known_seen: list[tuple[int, str]] = []
     for n, cells in enumerate(stirling_cells(max_n, chosen)):
         expected = oracle[n]
         for method in chosen:
@@ -157,18 +194,7 @@ def cross_verify(
             else:
                 value = bernoulli(n, method, cells=cells)
             elapsed = time.perf_counter_ns() - start
-            agrees = value == expected
-            entries.append(ReportEntry(n, method.value, value, agrees, elapsed))
-            if not agrees:
-                target = known_seen if method.value in known else mismatches
-                target.append((n, method.value))
-    return VerificationReport(
-        max_n=max_n,
-        entries=tuple(entries),
-        checked=len(entries),
-        mismatches=tuple(mismatches),
-        known_discrepancies=tuple(known_seen),
-    )
+            yield ReportEntry(n, method.value, value, value == expected, elapsed)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -192,75 +218,46 @@ def identity_suite(max_n: int, trials: int, seed: int) -> VerificationReport:
     """
     check_at_least("max_n", max_n, 2)
     check_at_least("trials", trials, 1)
-    rng = random.Random(seed)
-    instances: list[tuple[str, int, bool]] = []
+    return _judge(max_n, _identity_rows(max_n, trials, seed))
 
+
+def _scaling_row(n: int, k: int, args: Sequence[Fraction]) -> ReportEntry:
+    lhs, rhs = bell_scaling_identity_lhs_rhs(n, k, args)
+    return ReportEntry(n, IDENTITY_SCALING, None, lhs == rhs)
+
+
+def _egf_row(n: int, k: int, args: Sequence[Fraction]) -> ReportEntry:
+    ok = bell_egf_coeff(n, k, args) == bell_partition_sum(n, k, args)
+    return ReportEntry(n, IDENTITY_EGF, None, ok)
+
+
+def _identity_rows(max_n: int, trials: int, seed: int) -> Iterator[ReportEntry]:
+    # one row per identity instance
+    rng = random.Random(seed)
     streams = zip(stirling_diagonals(max_n), associated_diagonals(max_n))
     for d, (diagonal, associated) in enumerate(streams):
         for k in range(1, d + 1):
-            reciprocal_args = [Fraction(1, i + 1) for i in range(1, d - k + 2)]
-            ok = bell_reciprocal_args(d, k, diagonal) == bell_partition_sum(
-                d, k, reciprocal_args
-            )
-            instances.append((IDENTITY_RECIPROCAL, d, ok))
+            args = [Fraction(1, i + 1) for i in range(1, d - k + 2)]
+            ok = bell_reciprocal_args(d, k, diagonal) == bell_partition_sum(d, k, args)
+            yield ReportEntry(d, IDENTITY_RECIPROCAL, None, ok)
         for k in range(1, max_n - d + 1):
             n = d + k
             zero_one = bell_zero_one(n, k, diagonal)
             zero_one_args = (Fraction(0),) + (Fraction(1),) * d
             ok = zero_one == bell_partition_sum(n, k, zero_one_args)
-            instances.append((IDENTITY_ZERO_ONE, n, ok))
-            instances.append((IDENTITY_ASSOCIATED, n, associated[k] == zero_one))
+            yield ReportEntry(n, IDENTITY_ZERO_ONE, None, ok)
+            yield ReportEntry(n, IDENTITY_ASSOCIATED, None, associated[k] == zero_one)
 
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            lhs, rhs = bell_scaling_identity_lhs_rhs(n, k, (Fraction(1),) * n)
-            instances.append((IDENTITY_SCALING, n, lhs == rhs))
-            ones = (Fraction(1),) * (n - k + 1)
-            instances.append(
-                (
-                    IDENTITY_EGF,
-                    n,
-                    bell_egf_coeff(n, k, ones) == bell_partition_sum(n, k, ones),
-                )
-            )
+            yield _scaling_row(n, k, (Fraction(1),) * n)
+            yield _egf_row(n, k, (Fraction(1),) * (n - k + 1))
 
     for _ in range(trials):
         n = rng.randint(1, max_n)
         k = rng.randint(1, n)
-        args = [_random_fraction(rng) for _ in range(n)]
-        lhs, rhs = bell_scaling_identity_lhs_rhs(n, k, args)
-        instances.append((IDENTITY_SCALING, n, lhs == rhs))
+        yield _scaling_row(n, k, [_random_fraction(rng) for _ in range(n)])
     for _ in range(trials):
         n = rng.randint(1, max_n)
         k = rng.randint(1, n)
-        args = [_random_fraction(rng) for _ in range(n - k + 1)]
-        instances.append(
-            (
-                IDENTITY_EGF,
-                n,
-                bell_egf_coeff(n, k, args) == bell_partition_sum(n, k, args),
-            )
-        )
-
-    # aggregate instances into one entry per (n, identity) and tally each identity
-    by_key: dict[tuple[int, str], bool] = {}
-    checked: Counter[str] = Counter()
-    passed: Counter[str] = Counter()
-    for name, n, ok in instances:
-        key = (n, name)
-        by_key[key] = by_key.get(key, True) and ok
-        checked[name] += 1
-        passed[name] += ok
-    entries = tuple(
-        ReportEntry(n, name, None, ok)
-        for (n, name), ok in sorted(by_key.items())
-    )
-    mismatches = tuple((n, name) for (n, name), ok in sorted(by_key.items()) if not ok)
-    return VerificationReport(
-        max_n=max_n,
-        entries=entries,
-        checked=len(instances),
-        mismatches=mismatches,
-        known_discrepancies=(),
-        identity_counts=tuple((name, checked[name], passed[name]) for name in sorted(checked)),
-    )
+        yield _egf_row(n, k, [_random_fraction(rng) for _ in range(n - k + 1)])

@@ -182,7 +182,7 @@ def test_argument_validation():
         bell_partition_sum(0, 0, [])
     with pytest.raises(ValueError):
         bell_scaling_identity_lhs_rhs(3, 1, [1, 1])  # needs x_2..x_4
-    with pytest.raises(ValueError, match="needs 3 Stirling cells, got 2"):
+    with pytest.raises(ValueError, match="needs 3 values, got 2"):
         bell_zero_one(7, 2, (0, 1))  # diagonal 5 cut short of S(7, 2)
-    with pytest.raises(ValueError, match="needs 3 Stirling cells, got 2"):
+    with pytest.raises(ValueError, match="needs 3 values, got 2"):
         bell_reciprocal_args(4, 2, (0, 1))  # diagonal 4 cut short of S(6, 2)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from bernstir.bernoulli import Method, supported_methods
 from bernstir.verify import ReportEntry, VerificationReport, cross_verify, identity_suite
 
 from oracles import report_to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def expected_entry_count(max_n):
@@ -102,6 +105,9 @@ def test_identity_suite_flags_a_wrong_associated_cell(monkeypatch):
     monkeypatch.setattr(verify, "associated_diagonals", off_by_one_at_d3)
     report = identity_suite(6, trials=1, seed=0)
     assert report.mismatches == ((5, "associated"),)  # the cell S_2(5, 2)
+    # one failed instance of the 21: counted as checked, not as passed
+    assert report.checked == 107
+    assert ("associated", 21, 20) in report.identity_counts
 
 
 def test_identity_suite_reports_are_deterministic():
@@ -111,6 +117,12 @@ def test_identity_suite_reports_are_deterministic():
     # the seed only steers argument drawing, never the amount of checking
     c = identity_suite(6, trials=20, seed=4)
     assert c.checked == a.checked
+
+
+def test_identity_report_matches_the_golden_files():
+    report = identity_suite(6, trials=20, seed=3)
+    assert report.to_json().encode() == (GOLDEN / "identity_6.json").read_bytes()
+    assert report.to_table().encode() == (GOLDEN / "identity_6.txt").read_bytes()
 
 
 def test_identity_suite_minimal_run_covers_canonical_cases():
@@ -177,6 +189,23 @@ def test_to_json_equals_json_dumps(known):
 def test_to_json_equals_json_dumps_with_mismatches():
     report = cross_verify(8, methods=(Method.ALTERNATING, Method.ORACLE, Method.GUO_QI))
     assert report.mismatches == tuple((n, "alternating") for n in (2, 4, 6, 8))
+    assert report.to_json() == dumped(report)
+
+
+def test_cross_verify_separates_known_discrepancies_from_mismatches(monkeypatch):
+    import bernstir.verify as verify
+
+    real = verify.bernoulli
+
+    def logan_wrong_at_3(n, method, cells=None):
+        value = real(n, method, cells=cells)
+        return value + 1 if (n, method) == (3, Method.LOGAN) else value
+
+    monkeypatch.setattr(verify, "bernoulli", logan_wrong_at_3)
+    report = cross_verify(4, ("alternating",))
+    assert not report.ok
+    assert report.mismatches == ((3, "logan"),)
+    assert report.known_discrepancies == ((2, "alternating"), (4, "alternating"))
     assert report.to_json() == dumped(report)
 
 
