@@ -9,6 +9,14 @@ the closed form to the arguments (1/2, 1/3, ...), so both read one diagonal
 S(d+i, i) of the Stirling triangle as a plain sequence, an item of
 `stirling.stirling_diagonals`, and only the first sums over it.
 
+The partition sum places block sizes from the largest down, and merges
+the profiles that leave the same open weight w and block count c into one
+integer state.  Placing the l-th block of size s multiplies a state by
+C(w, s) * a_s and divides it by l; the division is exact, because each
+profile in the state counts its ways as the ways for l-1 blocks times
+C(w, s) / l.  There are at most (k+1)(n-k+1) states per size, so the sum's
+work grows polynomially in n, not with the number of profiles.
+
 Both evaluators run in integers.  B_{n,k} is homogeneous of degree k, so
 with q the lcm of the denominators of x_1..x_{n-k+1} and a_i = q * x_i,
 B_{n,k}(x) = B_{n,k}(a) / q^k (Comtet, Advanced Combinatorics, 1974, 3.3).
@@ -56,41 +64,54 @@ def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
     Each profile contributes n! / (prod l_i! * prod (i!)^l_i) * prod x_i^l_i.
     The multiplicity is an exact integer (it counts the set partitions with
     that profile).  The sum runs on the integers a_i = q * x_i and returns
-    B_{n,k}(a) / q^k (see the module docstring).  Both products are carried
-    down the search as it places blocks, and the search keeps its own stack,
-    so its Python depth does not grow with n.
+    B_{n,k}(a) / q^k (see the module docstring).
+
+    Block sizes are placed from the largest down.  Once the sizes above s
+    are placed, all profiles that leave the same open weight w (elements)
+    and count c (blocks) are one state: a single integer, the sum over
+    those profiles of the ways to choose the blocks placed so far from the
+    n elements, times prod a_i^l_i.  The l-th block of size s multiplies a
+    state by C(w, s) * a_s, w being the weight still open before it, and
+    divides it by l.  The division is exact: the ways for l blocks are the
+    ways for l-1 blocks times C(w, s) / l, and a merged state is a sum of
+    such terms.  No block is larger than w - c + 1, so a state waits at
+    that size, and pairs and singletons close in one step.  There are at
+    most (k+1)(n-k+1) states per size, so the work grows polynomially in n.
     """
     a, q = _scaled(n, k, xs)
-    fact = [1] * (n + 1)
-    for i in range(1, n + 1):
-        fact[i] = fact[i - 1] * i
+    top = n - k + 1
+    # waiting[s] maps (weight, count) to the state whose next block size is
+    # s; the states at s = 1 and 2 are closed by pairs and singletons
+    waiting: list[dict[tuple[int, int], int]] = [{} for _ in range(top + 1)]
+    waiting[top][n, k] = 1
+    for size in range(top, 2, -1):
+        a_size, below = a[size - 1], size - 1
+        states, waiting[size] = waiting[size], {}
+        for (weight, count), state in states.items():
+            room = weight - count + 1  # the largest block that still fits
+            mult = 0
+            while True:
+                if weight <= below * count:  # smaller blocks can close it
+                    nxt = waiting[room if room < below else below]
+                    key = weight, count
+                    nxt[key] = nxt.get(key, 0) + state
+                if room < size:  # no further block of size s fits
+                    break
+                mult += 1
+                state = state * math.comb(weight, size) * a_size // mult  # exact
+                weight -= size
+                count -= 1
+                room -= below
     total = 0
-    # (size, weight, count, denom, prod): multiplicities for block sizes
-    # `size` down to 1 are still open, with `weight` elements in `count`
-    # blocks to place; `denom` is prod l_i! (i!)^l_i and `prod` is
-    # prod a_i^l_i over the sizes already placed.  No block is larger than
-    # weight - count + 1, so the sizes above that are skipped.
-    stack = [(n - k + 1, n, k, 1, 1)]
-    while stack:
-        size, weight, count, denom, prod = stack.pop()
-        if size <= 2:  # only pairs and singletons are open: their counts follow
-            pairs = weight - count
-            if pairs:
-                denom *= fact[pairs] << pairs
-                prod *= a[1] ** pairs
-            singles = count - pairs
-            denom *= fact[singles]
-            total += fact[n] // denom * prod * a[0] ** singles  # exact
-            continue
-        step, a_size = fact[size], a[size - 1]
-        for mult in range(min(weight // size, count) + 1):
-            if mult:
-                denom *= step * mult
-                prod *= a_size
-            w, c = weight - mult * size, count - mult
-            if c <= w <= (size - 1) * c:
-                top = w - c + 1
-                stack.append((top if top < size else size - 1, w, c, denom, prod))
+    for states in waiting[1:3]:
+        for (weight, count), state in states.items():
+            pairs, singles = weight - count, 2 * count - weight
+            if pairs:  # x_2 is an argument whenever a pair can be open
+                state *= a[1] ** pairs
+            ways = math.factorial(weight) // (
+                (math.factorial(pairs) << pairs) * math.factorial(singles)
+            )
+            total += state * ways * a[0] ** singles
     return Fraction(total, q**k)
 
 
@@ -162,8 +183,8 @@ def bell_scaling_identity_lhs_rhs(
     vals = tuple(Fraction(x) for x in xs)
     if len(vals) < n:
         raise ValueError(
-            "scaling identity at (%d, %d) needs x_2..x_%d, got %d arguments"
-            % (n, k, n + 1, len(vals))
+            "scaling identity at (%s, %s) needs x_2..x_%s, got %d arguments"
+            % (echo_int(n), echo_int(k), echo_int(n + 1), len(vals))
         )
     lhs = bell_partition_sum(
         n, k, [vals[i] / (i + 2) for i in range(n - k + 1)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Sequence
 
-from .exact import check_at_least
+from .exact import check_at_least, echo_int
 
 
 def bernoulli_series(order: int) -> list[Fraction]:
@@ -77,15 +77,17 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
     k! q^k n!^(k-1).
     """
     if not 0 <= k <= n:
-        raise ValueError("needs 0 <= k <= n, got (%d, %d)" % (n, k))
+        raise ValueError(
+            "needs 0 <= k <= n, got (%s, %s)" % (echo_int(n), echo_int(k))
+        )
     vals = [Fraction(x) for x in xs]
     top = n - k + 1  # x_1..x_top reach t^n
     if k == 0:
         return Fraction(int(n == 0))
     if len(vals) < top:
         raise ValueError(
-            "coefficient t^%d of a k=%d power needs x_1..x_%d, got %d"
-            % (n, k, top, len(vals))
+            "coefficient t^%s of a k=%s power needs x_1..x_%s, got %d"
+            % (echo_int(n), echo_int(k), echo_int(top), len(vals))
         )
     q = lcm(*(x.denominator for x in vals[:top]))
     n_fact = factorial(n)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from bernstir.bell import (
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from bernstir.stirling import StirlingTable, stirling_diagonals
+from bernstir.series import bell_egf_coeff
+from bernstir.stirling import StirlingTable, stirling_diagonals, stirling_rows
 
 from oracles import (
     bell_by_set_partitions,
@@ -79,6 +81,39 @@ def test_integer_evaluators_equal_fraction_transcriptions():
                 assert bell_recurrence_fraction(n, k, xs) == want
                 assert bell_partition_sum(n, k, xs) == want, (n, k, xs)
                 assert bell_recurrence(n, k, xs) == want, (n, k, xs)
+
+
+def test_partition_sum_equals_fraction_sum_where_profiles_merge():
+    # from n = 13 on many profiles leave the same open (weight, count)
+    rng = random.Random(13)
+    for n in range(13, 23):
+        for k in range(1, n + 1):
+            xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - k + 1)]
+            if k % 3 == 0:
+                xs[rng.randrange(len(xs))] = Fraction(0)
+            assert bell_partition_sum(n, k, xs) == bell_partition_sum_fraction(n, k, xs), (n, k)
+
+
+def test_partition_sum_past_the_profile_enumeration():
+    # (200, 20) has about 9 * 10^10 block-size profiles and (120, 30) about
+    # 5 * 10^7, far more than a one-by-one enumeration can visit in a test
+    ones = [1] * 181
+    assert bell_partition_sum(200, 20, ones) == list(stirling_rows(200))[200][20]
+    rng = random.Random(120)
+    xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(91)]
+    assert bell_partition_sum(120, 30, xs) == bell_recurrence(120, 30, xs)
+
+
+def test_partition_sum_places_no_size_above_two_when_k_is_n_or_n_minus_1():
+    # B_{n,n}(x) = x_1^n and B_{n,n-1}(x) = C(n, 2) x_1^(n-2) x_2
+    rng = random.Random(1)
+    for n in [1, 2, 3, 4, 7, 40, 300]:
+        x1, x2 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        assert bell_partition_sum(n, n, [x1]) == x1**n
+        if n >= 2:
+            want = math.comb(n, 2) * x1 ** (n - 2) * x2
+            assert bell_partition_sum(n, n - 1, [x1, x2]) == want
+            assert bell_partition_sum(n, n - 1, [0, x2]) == (n == 2) * x2
 
 
 def test_extra_arguments_do_not_change_value():
@@ -161,8 +196,6 @@ def test_scaling_identity_random_args(data):
 def test_reciprocal_args_match_series_coefficients():
     # independent route: n!/k! [t^n] (sum_m t^m/(m+1)!)^k must equal the
     # closed form, i.e. the EGF with x_m = 1/(m+1) generates the same values
-    from bernstir.series import bell_egf_coeff
-
     diagonals = list(stirling_diagonals(20))
     for k in range(1, 7):
         for n in range(k, 21):
@@ -186,3 +219,22 @@ def test_argument_validation():
         bell_zero_one(7, 2, (0, 1))  # diagonal 5 cut short of S(7, 2)
     with pytest.raises(ValueError, match="needs 3 values, got 2"):
         bell_reciprocal_args(4, 2, (0, 1))  # diagonal 4 cut short of S(6, 2)
+
+
+def test_long_indices_are_echoed_short_in_bell_errors():
+    # 10^5000 is past the int-to-str digit limit, which %d would hit
+    big = 10**5000
+    echoed = "1" + "0" * 39 + "..."
+    with pytest.raises(ValueError) as err:
+        bell_scaling_identity_lhs_rhs(big, 1, [1])
+    assert str(err.value) == (
+        "scaling identity at (%s, 1) needs x_2..x_%s, got 1 arguments" % (echoed, echoed)
+    )
+    with pytest.raises(ValueError) as err:
+        bell_egf_coeff(1, big, [1])
+    assert str(err.value) == "needs 0 <= k <= n, got (1, %s)" % echoed
+    with pytest.raises(ValueError) as err:
+        bell_egf_coeff(big, 1, [1])
+    assert str(err.value) == (
+        "coefficient t^%s of a k=1 power needs x_1..x_%s, got 1" % (echoed, echoed)
+    )
