@@ -28,17 +28,11 @@ from .bernoulli import (
 )
 from .exact import format_rational, parse_rational
 from .series import bell_egf_coeff, bernoulli_series
-from .stirling import (
-    StirlingTable,
-    associated_diagonals,
-    stirling_diagonals,
-    stirling_rows,
-)
+from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
 from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
     "Method",
-    "StirlingTable",
     "UnsupportedIndexError",
     "VerificationReport",
     "associated_diagonals",

@@ -1,12 +1,14 @@
 """Partial Bell polynomials B_{n,k}(x_1, ..., x_{n-k+1}).
 
 Two independent evaluators: the defining sum over block-size profiles
-(``bell_partition_sum``, the oracle) and a convolution recurrence
-(``bell_recurrence``, the production path for larger n).  On top of those,
-a closed form for the argument specialization (0, 1, ..., 1), and a
-rescaling identity evaluated on both sides.  The identity at x = 1 carries
-the closed form to the arguments (1/2, 1/3, ...), so both read one diagonal
-S(d+i, i) of the Stirling triangle as a plain sequence, an item of
+(``bell_partition_sum``, which ``identity_suite`` judges against) and a
+convolution recurrence (``bell_recurrence``, the CLI's default).  Neither
+is faster everywhere: the partition sum is severalfold faster at k >= n/2,
+the recurrence at small k and large n (README gives measured times).  On
+top of those, a closed form for the argument specialization (0, 1, ..., 1),
+and a rescaling identity evaluated on both sides.  The identity at x = 1
+carries the closed form to the arguments (1/2, 1/3, ...), so both read one
+diagonal S(d+i, i) of the Stirling triangle as a plain sequence, an item of
 `stirling.stirling_diagonals`, and only the first sums over it.
 
 The partition sum places block sizes from the largest down, and merges

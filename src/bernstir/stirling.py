@@ -11,10 +11,8 @@ against the explicit alternating binomial sum.
 partitions into k blocks of size at least 2, by the same kind of column
 sweep.
 
-The one class in this module keeps every row for random access.  Nothing in
-the package builds one: it stays as the tests' random-access reference and
-as the class whose construction the benchmark's ``stirling.table`` span
-times.
+``StirlingTable`` is the benchmark's hook only: nothing in the package or
+its tests builds one.
 """
 
 from __future__ import annotations
@@ -84,11 +82,10 @@ def associated_diagonals(max_d: int) -> Iterator[tuple[int, ...]]:
 
 
 class StirlingTable:
-    """Triangle of S(n, k) for 0 <= k <= n <= max_n.
+    """Every row of ``stirling_rows(max_n)``, built and kept.
 
-    Built once from the rows of ``stirling_rows`` and immutable after
-    construction, so concurrent reads are safe.  Conventions: S(0, 0) = 1,
-    S(n, 0) = 0 for n >= 1, and S(n, k) = 0 whenever k > n.
+    The benchmark's ``stirling.table`` span times this construction and
+    reads ``max_n``; the class goes once that span times the streams.
     """
 
     __slots__ = ("_rows",)
@@ -99,16 +96,3 @@ class StirlingTable:
     @property
     def max_n(self) -> int:
         return len(self._rows) - 1
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("S(n, k) needs n, k >= 0, got (%d, %d)" % (n, k))
-        rows = self._rows
-        if n >= len(rows):
-            raise ValueError(
-                "table covers n <= %d but S(%d, %d) was requested" % (len(rows) - 1, n, k)
-            )
-        if k > n:
-            return 0
-        return rows[n][k]
-

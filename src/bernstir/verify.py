@@ -13,10 +13,6 @@ from them.  Mismatches are data, not errors: they land in the report as
 "unexpected" unless their method is on the caller's known-discrepancy list.
 Rows without a value are identity instances, which the judge counts.
 
-Every public name of the library is run by a command or by this engine,
-except `StirlingTable`, which serves only the tests and stays while the
-benchmark's traced run times its construction.
-
 A report renders from the package's one template table, ``exact.RECORDS``:
 as text, and as JSON equal to ``json.dumps(..., sort_keys=True, indent=2)``
 of its document {"max_n", "entries", "summary"} byte for byte, with
@@ -143,7 +139,8 @@ def _judge(
             counts = tally.setdefault(row.method, [0, 0])
             counts[0] += 1
             counts[1] += row.agrees_with_oracle
-    entries = tuple(sorted(merged.values()))
+    # sort the unique keys: ReportEntry's own __eq__ makes comparing entries Python-level
+    entries = tuple(map(merged.get, sorted(merged)))
     failed = [e[:2] for e in entries if not e.agrees_with_oracle]
     return VerificationReport(
         max_n=max_n,

@@ -24,7 +24,7 @@ from bernstir.bernoulli import (
 )
 from bernstir.bell import bell_zero_one
 from bernstir.series import bernoulli_series
-from bernstir.stirling import StirlingTable, associated_diagonals, stirling_diagonals
+from bernstir.stirling import associated_diagonals, stirling_diagonals
 from bernstir.verify import cross_verify
 
 from oracles import (
@@ -39,56 +39,46 @@ from oracles import (
     power_sum_coeffs_fraction,
     power_sum_coeffs_solved,
     power_sum_fractions,
+    stirling_explicit,
     theorem_fraction,
 )
 
 
-def diagonal(table, n):
-    """The cells S(n+i, i), 0 <= i <= n, that `table` covers."""
-    return [table.value(n + i, i) for i in range(min(n, table.max_n - n) + 1)]
+def diagonal(n):
+    """The cells S(n+i, i), 0 <= i <= n, from the explicit sum."""
+    return [stirling_explicit(n + i, i) for i in range(n + 1)]
 
 
-def rows(table, n):
-    """Rows n and n+1 of `table`."""
-    return tuple([table.value(m, k) for k in range(m + 1)] for m in (n, n + 1))
+def rows(n):
+    """Rows n and n+1 of the triangle, from the explicit sum."""
+    return tuple([stirling_explicit(m, k) for k in range(m + 1)] for m in (n, n + 1))
 
 
-def associated(table, n):
-    """The cells S_2(n+k, k), 0 <= k <= n, that `table` covers, each one
-    from the closed form B_{n+k,k}(0, 1, ..., 1) over diagonal n of `table`."""
-    cells = diagonal(table, n)
-    return [int(n == 0)] + [bell_zero_one(n + k, k, cells) for k in range(1, len(cells))]
+def associated(n):
+    """The cells S_2(n+k, k), 0 <= k <= n, each one from the closed form
+    B_{n+k,k}(0, 1, ..., 1) over the explicit diagonal n."""
+    cells = diagonal(n)
+    return [int(n == 0)] + [bell_zero_one(n + k, k, cells) for k in range(1, n + 1)]
 
 
-# each stream a route reads, and how to read its item n from a table
-TABLE_READS = {
+# each Stirling stream a route reads, and its item n from the explicit sum
+EXPLICIT_READS = {
     ROUTES[Method.THEOREM].reads: diagonal,
     ROUTES[Method.LOGAN].reads: rows,
     ROUTES[Method.BELL].reads: associated,
 }
 
 
-def table_cells(table, n, streams=tuple(TABLE_READS)):
-    """What stirling_cells yields at n for the Stirling streams among
-    `streams`, read from `table` instead."""
-    return {reads: TABLE_READS[reads](table, n) for reads in streams if reads in TABLE_READS}
-
-
-@pytest.fixture(scope="module")
-def table():
-    return StirlingTable(40)
-
-
-def test_theorem_known_values(table):
-    assert bernoulli_theorem(0, diagonal(table, 0)) == 1
-    assert bernoulli_theorem(1, diagonal(table, 1)) == Fraction(-1, 2)
-    assert bernoulli_theorem(2, diagonal(table, 2)) == Fraction(1, 6)  # 0 - 1 + 7/6
-    assert bernoulli_theorem(3, diagonal(table, 3)) == 0  # -3/2 + 6 - 9/2
+def test_theorem_known_values():
+    assert bernoulli_theorem(0, diagonal(0)) == 1
+    assert bernoulli_theorem(1, diagonal(1)) == Fraction(-1, 2)
+    assert bernoulli_theorem(2, diagonal(2)) == Fraction(1, 6)  # 0 - 1 + 7/6
+    assert bernoulli_theorem(3, diagonal(3)) == 0  # -3/2 + 6 - 9/2
 
 
 def test_theorem_table_too_small():
     with pytest.raises(ValueError):
-        bernoulli_theorem(4, diagonal(StirlingTable(7), 4))
+        bernoulli_theorem(4, diagonal(4)[:4])  # S(4+i, i) for i <= 3: a triangle to n = 7
 
 
 def test_bell_sum_known_values():
@@ -99,10 +89,10 @@ def test_bell_sum_known_values():
         bernoulli_bell(0, [1])
 
 
-def test_logan_known_values(table):
-    assert bernoulli_logan(1, rows(table, 1)[0]) == Fraction(-1, 2)
-    assert bernoulli_logan(2, rows(table, 2)[0]) == Fraction(1, 6)  # -1/2 + 2/3
-    assert bernoulli_logan(4, rows(table, 4)[0]) == Fraction(-1, 30)
+def test_logan_known_values():
+    assert bernoulli_logan(1, rows(1)[0]) == Fraction(-1, 2)
+    assert bernoulli_logan(2, rows(2)[0]) == Fraction(1, 6)  # -1/2 + 2/3
+    assert bernoulli_logan(4, rows(4)[0]) == Fraction(-1, 30)
     with pytest.raises(ValueError):
         bernoulli_logan(5, [0, 1, 15, 25, 10])  # S(5, 5) missing
 
@@ -161,13 +151,13 @@ def test_guo_qi_known_values():
         bernoulli_guo_qi(0, ())
 
 
-def test_double_stirling_known_values(table):
+def test_double_stirling_known_values():
     # k=1 by hand: 1 + 3/2 - (2/3)*(3 + 1/2)
-    assert bernoulli_double_stirling(1, rows(table, 2)) == Fraction(1, 6)
-    assert bernoulli_double_stirling(2, rows(table, 4)) == Fraction(-1, 30)
-    assert bernoulli_double_stirling(5, rows(table, 10)) == Fraction(5, 66)
+    assert bernoulli_double_stirling(1, rows(2)) == Fraction(1, 6)
+    assert bernoulli_double_stirling(2, rows(4)) == Fraction(-1, 30)
+    assert bernoulli_double_stirling(5, rows(10)) == Fraction(5, 66)
     with pytest.raises(ValueError):
-        bernoulli_double_stirling(4, rows(StirlingTable(8), 7))  # a table to 8 lacks row 9
+        bernoulli_double_stirling(4, rows(7))  # rows 7 and 8, not 8 and 9
 
 
 def test_alternating_evaluates_verbatim():
@@ -193,11 +183,11 @@ def test_oracle_known_values():
     assert bernoulli_oracle(12) == Fraction(-691, 2730)
 
 
-def test_dispatcher_values(table):
+def test_dispatcher_values():
     assert bernoulli(12, Method.THEOREM) == Fraction(-691, 2730)
     assert bernoulli(0, "oracle") == 1
     assert bernoulli(7, Method.LOGAN) == 0
-    cells = table_cells(StirlingTable(80), 40)
+    cells = {reads: item(40) for reads, item in EXPLICIT_READS.items()}
     assert bernoulli(40, Method.THEOREM, cells=cells) == bernoulli_series(40)[40]
 
 
@@ -294,13 +284,13 @@ def test_diagonal_routes_without_table_match_full_table(method):
         if not supports(method, n):
             continue
         value = bernoulli(n, method)
-        cells = table_cells(StirlingTable(2 * n + 1), n, [ROUTES[method].reads])
-        assert value == bernoulli(n, method, cells=cells), n
+        reads = ROUTES[method].reads
+        assert value == bernoulli(n, method, cells={reads: EXPLICIT_READS[reads](n)}), n
         assert value == series[n], n
 
 
 def test_theorem_query_memory_is_linear():
-    # the full StirlingTable(600) alone takes about 40 MB
+    # the whole triangle to n = 600 alone takes about 40 MB
     tracemalloc.start()
     try:
         bernoulli(300, Method.THEOREM)
@@ -323,7 +313,7 @@ def test_bell_query_memory_is_linear():
 
 @pytest.mark.parametrize("method", [Method.LOGAN, Method.DOUBLE_STIRLING])
 def test_row_query_memory_is_linear(method):
-    # the full StirlingTable(400) alone takes about 12 MB
+    # the whole triangle to n = 400 alone takes about 12 MB
     tracemalloc.start()
     try:
         bernoulli(400, method)
@@ -334,7 +324,7 @@ def test_row_query_memory_is_linear(method):
 
 
 def test_cross_verify_memory_streams_the_cells():
-    # a shared StirlingTable(240) alone takes about 2.5 MB
+    # the whole triangle to n = 240 alone takes about 2.5 MB
     tracemalloc.start()
     try:
         report = cross_verify(120, (), (Method.THEOREM, Method.LOGAN, Method.DOUBLE_STIRLING))
@@ -365,21 +355,15 @@ INTEGER_KERNELS = {
 }
 
 
-@pytest.fixture(scope="module")
-def table_300():
-    return StirlingTable(300)
-
-
 @pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
-def test_integer_kernel_equals_fraction_sum(method, table_300):
+def test_integer_kernel_equals_fraction_sum(method):
+    # both sums on the streamed cells, and the oracle series as the reference
     kernel, fraction_sum = INTEGER_KERNELS[method]
     reads = ROUTES[method].reads
+    series = bernoulli_series(150)
     for n, cells in enumerate(stirling_cells(150, [method])):
-        if not supports(method, n):
-            continue
-        # the Stirling cells from the table, the power sums as streamed
-        expected = fraction_sum(n, table_cells(table_300, n, [reads]).get(reads, cells[reads]))
-        assert kernel(n, cells[reads]) == expected, n
+        if supports(method, n):
+            assert kernel(n, cells[reads]) == fraction_sum(n, cells[reads]) == series[n], n
 
 
 @pytest.mark.parametrize("method", list(INTEGER_KERNELS), ids=lambda m: m.value)
@@ -393,14 +377,14 @@ def test_integer_kernels_at_first_index():
     # the common denominators degenerate here: (2n)!/n! is 1 at n = 0 and
     # 2 at n = 1, lcm(1, ..., n+1) is 2 for logan at n = 1, and the guo-qi
     # tail is empty at n = 2
-    table = StirlingTable(6)
     for method, (kernel, fraction_sum) in INTEGER_KERNELS.items():
         n = ROUTES[method].first
         reads = ROUTES[method].reads
         expected = bernoulli_series(n)[n]
         streamed = cells_at(n, [method])[reads]
-        from_table = table_cells(table, n, [reads]).get(reads, streamed)
-        assert kernel(n, streamed) == fraction_sum(n, from_table) == expected, method
+        # the Stirling cells from the explicit sum, the power sums as streamed
+        explicit = EXPLICIT_READS[reads](n) if reads in EXPLICIT_READS else streamed
+        assert kernel(n, streamed) == fraction_sum(n, explicit) == expected, method
 
 
 class CountingSequence(Sequence):

@@ -154,12 +154,12 @@ def test_every_lower_bound_reads_one_format(capsys, function, args, message):
 def test_every_public_name_has_a_library_user():
     # Every name the package exports is read by the package itself, outside
     # __init__.py.  identity_suite is the engine's entry point, which CI
-    # calls; StirlingTable stays while the benchmark times its construction.
+    # calls.
     used = set()
     for path in pathlib.Path(bernstir.__file__).parent.glob("*.py"):
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
-    unused = set(bernstir.__all__) - used - {"identity_suite", "StirlingTable"}
+    unused = set(bernstir.__all__) - used - {"identity_suite"}
     assert not unused, sorted(unused)

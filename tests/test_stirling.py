@@ -3,12 +3,7 @@ import math
 import pytest
 
 from bernstir.bell import bell_reciprocal_args, bell_zero_one
-from bernstir.stirling import (
-    StirlingTable,
-    associated_diagonals,
-    stirling_diagonals,
-    stirling_rows,
-)
+from bernstir.stirling import associated_diagonals, stirling_diagonals, stirling_rows
 
 from oracles import count_partitions_into, set_partitions, stirling_explicit
 
@@ -33,46 +28,24 @@ def test_explicit_conventions():
 
 
 def test_table_small_values():
-    table = StirlingTable(5)
-    assert table.value(4, 2) == 7
-    assert table.value(5, 3) == 25
-    assert table.value(3, 0) == 0
-    assert table.value(2, 4) == 0  # k > n convention
-    assert table.max_n == 5
+    rows = list(stirling_rows(5))
+    assert rows[4][2] == 7
+    assert rows[5][3] == 25
+    assert rows[3][0] == 0
 
 
 def test_table_structure_invariants():
-    table = StirlingTable(30)
-    for n in range(1, 31):
-        assert table.value(n, 0) == 0
-        assert table.value(n, 1) == 1
-        assert table.value(n, n) == 1
-        for k in range(n + 1):
-            assert table.value(n, k) >= 0
-
-
-def test_table_rejects_out_of_range():
-    table = StirlingTable(4)
-    with pytest.raises(ValueError):
-        table.value(5, 2)
-    with pytest.raises(ValueError):
-        table.value(3, -1)
-    with pytest.raises(ValueError):
-        StirlingTable(-1)
-
-
-def test_explicit_agrees_with_table_to_60():
-    table = StirlingTable(60)
-    for n in range(61):
-        for k in range(n + 1):
-            assert stirling_explicit(n, k) == table.value(n, k), (n, k)
+    for n, row in enumerate(stirling_rows(30)):
+        if n:
+            assert row[0] == 0
+            assert row[1] == 1
+        assert row[n] == 1
+        assert all(value >= 0 for value in row)
 
 
 def test_row_sums_are_set_partition_counts():
-    table = StirlingTable(10)
-    for n in range(11):
-        row_sum = sum(table.value(n, k) for k in range(n + 1))
-        assert row_sum == sum(1 for _ in set_partitions(n))
+    for n, row in enumerate(stirling_rows(10)):
+        assert sum(row) == sum(1 for _ in set_partitions(n))
 
 
 def test_iteration_is_lexicographic():
@@ -86,21 +59,21 @@ def test_iteration_is_lexicographic():
 
 
 def test_rows_are_the_table_rows():
-    table = StirlingTable(60)
+    # the triangle from the explicit sum, n <= 60
     rows = list(stirling_rows(60))
     assert len(rows) == 61
     for n, row in enumerate(rows):
-        assert row == tuple(table.value(n, k) for k in range(n + 1)), n
+        assert row == tuple(stirling_explicit(n, k) for k in range(n + 1)), n
     with pytest.raises(ValueError):
         next(stirling_rows(-1))
 
 
 def test_diagonal_matches_table_to_60():
-    table = StirlingTable(120)
+    # the cells S(d+k, k) of the triangle from the explicit sum, d, k <= 60
     diagonals = list(stirling_diagonals(60))
     assert len(diagonals) == 61
     for d, diagonal in enumerate(diagonals):
-        assert diagonal == tuple(table.value(d + k, k) for k in range(61)), d
+        assert diagonal == tuple(stirling_explicit(d + k, k) for k in range(61)), d
     with pytest.raises(ValueError):
         next(stirling_diagonals(-1))
 

@@ -125,6 +125,25 @@ def test_identity_report_matches_the_golden_files():
     assert report.to_table().encode() == (GOLDEN / "identity_6.txt").read_bytes()
 
 
+def test_identity_suite_draws_negative_zero_and_non_integer_arguments(monkeypatch):
+    # the golden reports hold only pass counts, so pin what the seeded draws reach
+    import bernstir.verify as verify
+
+    drawn = []
+
+    def recording(function):
+        def record(n, k, args):
+            drawn.extend(args)
+            return function(n, k, args)
+        return record
+
+    for name in ("bell_scaling_identity_lhs_rhs", "bell_egf_coeff"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    assert identity_suite(6, trials=20, seed=3).ok
+    assert min(drawn) < 0 and 0 in drawn
+    assert any(Fraction(x).denominator > 1 for x in drawn)
+
+
 def test_identity_suite_minimal_run_covers_canonical_cases():
     report = identity_suite(2, trials=1, seed=0)
     assert report.ok
