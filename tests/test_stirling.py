@@ -58,12 +58,20 @@ def test_iteration_is_lexicographic():
     ]
 
 
+def test_explicit_agrees_with_table_to_60():
+    # every cell of the streamed triangle against the explicit sum, n <= 60
+    for n, row in enumerate(stirling_rows(60)):
+        for k in range(n + 1):
+            assert stirling_explicit(n, k) == row[k], (n, k)
+
+
 def test_rows_are_the_table_rows():
-    # the triangle from the explicit sum, n <= 60
+    # row n, cell k is cell k of diagonal n - k, n <= 60
     rows = list(stirling_rows(60))
+    diagonals = list(stirling_diagonals(60))
     assert len(rows) == 61
     for n, row in enumerate(rows):
-        assert row == tuple(stirling_explicit(n, k) for k in range(n + 1)), n
+        assert row == tuple(diagonals[n - k][k] for k in range(n + 1)), n
     with pytest.raises(ValueError):
         next(stirling_rows(-1))
 
