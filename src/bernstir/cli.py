@@ -206,8 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     code = EXIT_OK if report.ok else EXIT_MISMATCH
     if args.command == "bench":
         rows = [
-            (e.n, e.method, format_rational(e.value), e.elapsed_ns // 1000)
-            for e in report.entries
+            (e.n, e.method, format_rational(e.value), ns // 1000)
+            for e, ns in zip(report.entries, report.elapsed_ns)
         ]
         text = render("bench", args.format, rows)
     elif args.format == "csv":

@@ -8,8 +8,9 @@ at the all-ones arguments) against the partition-sum evaluator on
 canonical and seeded random arguments, and the 2-associated Stirling
 stream that the `bell` route reads against its closed form.
 
-Both only yield check rows, one per check, and one judge builds every report
-from them.  Mismatches are data, not errors: they land in the report as
+Both only yield check rows, plain (n, method, value, agrees) data, and one
+judge builds every report from them; a run's formula times travel on its
+report.  Mismatches are data, not errors: they land in the report as
 "unexpected" unless their method is on the caller's known-discrepancy list.
 Rows without a value are identity instances, which the judge counts.
 
@@ -48,33 +49,29 @@ class ReportEntry(NamedTuple):
     """One check row, and one report entry: the judge merges the rows of one
     (n, method) into an entry that agrees only when all of them do.  `value`
     is None for an identity instance, which has no single rational value;
-    the judge counts such rows into `identity_counts`.  `elapsed_ns` is
-    timing only: it takes no part in equality or rendering."""
+    the judge counts such rows into `identity_counts`."""
 
     n: int
     method: str
     value: Fraction | None
     agrees_with_oracle: bool
-    elapsed_ns: int = 0
-
-    def __eq__(self, other):
-        return self[:4] == other[:4] if isinstance(other, ReportEntry) else NotImplemented
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:4])
 
 
 class VerificationReport(NamedTuple):
+    """A judged run up to `max_n`.  `entries` are sorted by n, then method;
+    `checked` counts the check rows; the failed entries' (n, method) keys
+    split into `mismatches` and `known_discrepancies`; `identity_counts`
+    holds (identity, instances checked, instances passed); `elapsed_ns`
+    holds each entry's formula time, in entry order, empty for an identity
+    report.  Only `elapsed_ns` depends on the clock; no rendering reads it."""
+
     max_n: int
     entries: tuple[ReportEntry, ...]
     checked: int
     mismatches: tuple[tuple[int, str], ...]
     known_discrepancies: tuple[tuple[int, str], ...]
-    # (identity, instances checked, instances passed), from the rows without a value
     identity_counts: tuple[tuple[str, int, int], ...] = ()
+    elapsed_ns: tuple[int, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -111,7 +108,7 @@ class VerificationReport(NamedTuple):
             for e in self.entries
         ]
         text = render("entry", "plain", rows) + "\nchecked: %d\n" % self.checked
-        text += render("identity", "plain", self.identity_counts)
+        text += render("identity", "plain", sorted(self.identity_counts))
         if self.known_discrepancies:
             text += "known discrepancies: %s\n" % render("pair", "plain", self.known_discrepancies)
         if self.mismatches:
@@ -139,8 +136,8 @@ def _judge(
             counts = tally.setdefault(row.method, [0, 0])
             counts[0] += 1
             counts[1] += row.agrees_with_oracle
-    # sort the unique keys: ReportEntry's own __eq__ makes comparing entries Python-level
-    entries = tuple(map(merged.get, sorted(merged)))
+    # the keys are unique, so sorting never compares two values
+    entries = tuple(sorted(merged.values()))
     failed = [e[:2] for e in entries if not e.agrees_with_oracle]
     return VerificationReport(
         max_n=max_n,
@@ -161,24 +158,26 @@ def cross_verify(
     compare each value exactly against the series oracle.
 
     The oracle series is built once, and the Stirling cells the methods read
-    are streamed in step with n and shared; each entry's `elapsed_ns` is its
-    method's cost on them, without the cost of building them.  Methods named in
-    `known_discrepancies` still appear in the report, but their mismatches
-    are tallied separately and do not make the run fail.  Entries are sorted
-    by ascending n, then method name, so output is deterministic.  A run in
-    which no chosen method is defined at any n <= max_n raises ValueError,
-    as it would check nothing.
+    are streamed in step with n and shared; the report's `elapsed_ns` holds
+    each entry's formula time on them, without the cost of building them.
+    Methods named in `known_discrepancies` still appear in the report, but
+    their mismatches are tallied separately and do not make the run fail.
+    Entries are sorted by ascending n, then method name, so output is
+    deterministic.  A run in which no chosen method is defined at any
+    n <= max_n raises ValueError, as it would check nothing.
     """
     check_at_least("max_n", max_n, 1)
     known = {Method(name).value for name in known_discrepancies}
     chosen = [m for m in Method if m in methods]
     if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
         raise ValueError("no chosen method is defined at any n <= %d" % max_n)
-    return _judge(max_n, _route_rows(max_n, chosen), known)
+    elapsed: dict[tuple[int, str], int] = {}
+    report = _judge(max_n, _route_rows(max_n, chosen, elapsed), known)
+    return report._replace(elapsed_ns=tuple(elapsed[e[:2]] for e in report.entries))
 
 
-def _route_rows(max_n: int, chosen: list[Method]) -> Iterator[ReportEntry]:
-    # one row per (n, method): the method's value and the time of its call alone
+def _route_rows(max_n: int, chosen: list[Method], elapsed: dict) -> Iterator[ReportEntry]:
+    # one row per (n, method), and into `elapsed` the time of its call alone
     oracle = bernoulli_series(max_n)
     for n, cells in enumerate(stirling_cells(max_n, chosen)):
         expected = oracle[n]
@@ -190,8 +189,8 @@ def _route_rows(max_n: int, chosen: list[Method]) -> Iterator[ReportEntry]:
                 value = expected
             else:
                 value = bernoulli(n, method, cells=cells)
-            elapsed = time.perf_counter_ns() - start
-            yield ReportEntry(n, method.value, value, value == expected, elapsed)
+            elapsed[n, method.value] = time.perf_counter_ns() - start
+            yield ReportEntry(n, method.value, value, value == expected)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:

@@ -223,6 +223,19 @@ def test_bench_equals_the_reference(capsys, monkeypatch, fmt, max_n, methods, kn
     assert run_cli(capsys, *argv, "--format", fmt) == (0 if report.ok else 2, want, "")
 
 
+def test_only_the_formula_times_depend_on_the_clock(capsys, monkeypatch):
+    # every formula call takes `step` nanoseconds under each of two clocks
+    runs = []
+    for step in (7000, 13000):
+        clock = types.SimpleNamespace(perf_counter_ns=itertools.count(0, step).__next__)
+        monkeypatch.setattr(bernstir.verify, "time", clock)
+        report = cross_verify(10)
+        assert report.elapsed_ns == (step,) * len(report.entries)
+        csv = run_cli(capsys, "verify", "--max-n", "10", "--format", "csv")
+        runs.append((report[:-1], report.to_json(), report.to_table(), csv))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("max_n, known", [(6, ()), (12, KNOWN)])
 def test_verify_equals_the_reference(capsys, fmt, max_n, known):

@@ -183,14 +183,27 @@ def test_report_serialization_shape():
     assert "known discrepancies: (2, alternating)" in table
 
 
-def test_entry_equality_ignores_elapsed_ns():
-    entry = ReportEntry(2, "logan", Fraction(1, 6), True, 5)
-    timed = ReportEntry(2, "logan", Fraction(1, 6), True, elapsed_ns=9000)
-    assert entry == timed and not entry != timed
-    assert hash(entry) == hash(timed)
-    assert entry != ReportEntry(2, "logan", Fraction(1, 6), False, 5)
-    # two runs time their formulas differently, and still report the same
-    assert cross_verify(6) == cross_verify(6)
+def test_report_entry_is_a_plain_named_tuple():
+    assert ReportEntry._fields == ("n", "method", "value", "agrees_with_oracle")
+    assert not {"__eq__", "__ne__", "__hash__"} & set(vars(ReportEntry))
+
+
+def test_cross_verify_times_each_entry_on_the_report():
+    report = cross_verify(8)
+    assert len(report.elapsed_ns) == len(report.entries) == expected_entry_count(8)
+    assert all(type(ns) is int and ns >= 0 for ns in report.elapsed_ns)
+    assert identity_suite(4, trials=1, seed=0).elapsed_ns == ()
+
+
+# a hand-built report whose identity counts are not in name order
+UNSORTED_IDENTITIES = VerificationReport(
+    max_n=3,
+    entries=(ReportEntry(3, "scaling", None, False), ReportEntry(3, "egf", None, True)),
+    checked=5,
+    mismatches=((3, "scaling"),),
+    known_discrepancies=(),
+    identity_counts=(("scaling", 3, 2), ("egf", 2, 2)),
+)
 
 
 def dumped(report):
@@ -243,15 +256,14 @@ def test_to_json_equals_json_dumps_for_identity_reports():
     assert report.identity_counts
     assert report.to_json() == dumped(report)
     # a failed identity, null values and unsorted counts render as json.dumps does
-    failed = VerificationReport(
-        max_n=3,
-        entries=(ReportEntry(3, "scaling", None, False), ReportEntry(3, "egf", None, True)),
-        checked=5,
-        mismatches=((3, "scaling"),),
-        known_discrepancies=(),
-        identity_counts=(("scaling", 3, 2), ("egf", 2, 2)),
-    )
-    assert failed.to_json() == dumped(failed)
+    assert UNSORTED_IDENTITIES.to_json() == dumped(UNSORTED_IDENTITIES)
+
+
+def test_to_table_sorts_identity_counts_as_to_json_does():
+    table = UNSORTED_IDENTITIES.to_table()
+    assert table.index("identity egf: 2/2 passed\n") < table.index("identity scaling: 2/3 passed\n")
+    names = list(json.loads(UNSORTED_IDENTITIES.to_json())["summary"]["identities"])
+    assert names == ["egf", "scaling"]
 
 
 def test_to_json_renders_values_past_the_digit_limit():
