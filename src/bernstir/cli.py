@@ -2,17 +2,19 @@
 
 Commands: bernoulli, stirling, bell, verify, bench.  Every command accepts
 --format {plain,json,csv}.  Exit codes: 0 success, 2 verification mismatch,
-64 usage error, 130 interrupted.  A usage error is an argument argparse
-rejects, an index past the cap, an unknown method name, or a ValueError the
-library raises on the given arguments (such as `bell 2 4` or
-`verify --max-n 0`); each prints one line, `error: <message>`, on stderr.
+64 usage error, 71 out of memory, 130 interrupted.  A usage error is an
+argument argparse rejects, an index past the cap, an unknown method name, or
+a ValueError the library raises on the given arguments (such as `bell 2 4`
+or `verify --max-n 0`); each prints one line, `error: <message>`, on stderr.
 An argument below its fixed lower bound reads `<name> must be >= <low>, got
 <value>`.  An index argument (`bernoulli N`, `bell N K`, `--max-n`) is
 ASCII digits with an optional sign; argparse rejects any other token, `1_0`
 and non-ASCII digits included.  A message that quotes a rejected token or
 echoes an integer shows at most its first 40 characters.  A command
 interrupted by Ctrl-C (SIGINT), while it computes or while it writes,
-prints `error: interrupted` on stderr and exits 130.
+prints `error: interrupted` on stderr and exits 130.  A command that runs
+out of memory, while it computes or while it writes, prints `error: out of
+memory` on stderr and exits 71.
 
 `verify` and `bench` run one cross-check handler over `cross_verify`:
 verify renders each entry's agreement with the oracle, bench the time its
@@ -65,6 +67,7 @@ from .verify import cross_verify
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
+EXIT_OUT_OF_MEMORY = 71  # EX_OSERR of sysexits.h, beside EX_USAGE
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it killed
 
 DEFAULT_CAP = 10000
@@ -201,6 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     """The handler of both `verify` and `bench`: cross-check `args.methods`
     (every method when empty) against the oracle.  verify renders each
     entry's agreement, bench the time its method took."""
+    check_at_least("--max-n", args.max_n, 1)
     _check_cap(args.max_n, "max-n")
     report = cross_verify(args.max_n, args.known, args.methods or tuple(Method))
     code = EXIT_OK if report.ok else EXIT_MISMATCH
@@ -277,6 +281,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:  # Ctrl-C, while computing or while writing
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:  # while computing or while writing
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 def _run(argv: Sequence[str] | None) -> int:

@@ -13,14 +13,16 @@ property of B_n (neither von Staudt-Clausen nor B_odd = 0), so a route that
 agrees with it has been checked against the defining series and not against
 itself.
 
-`bell_egf_coeff` raises the series to its power by truncated Cauchy products
-on integer coefficients over one scale, and divides once at the end.
+`bell_egf_coeff` takes powers of a series held as integer coefficients of
+t^m/m!: weight C(p, m), coefficient j! B_{p,j}.  `bell.bell_recurrence`
+adds a marked element's block: weight C(p-1, m-1), coefficient B_{p,j}.
+The two share no step; the suite judges both against the partition sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 from .exact import check_at_least, echo_int
@@ -71,10 +73,10 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
     be omitted or set to anything.
 
     With q the lcm of the denominators of x_1..x_{n-k+1}, the series is
-    U(t)/(q n!) for the integer coefficients u_m = (q x_m) n!/m!.  U^k is
-    taken by k - 1 Cauchy products, each truncated where the factors still
-    to come cannot reach t^n, and the value is [t^n] U^k over
-    k! q^k n!^(k-1).
+    U(t)/q with U = sum_m a_m t^m/m!, a_m = q x_m.  On t^m/m! coefficients
+    a product is the binomial convolution (UV)_p = sum_m C(p, m) U_(p-m) V_m.
+    U^k is taken by k - 1 such products, each truncated where the factors
+    still to come cannot reach t^n, and the value is (U^k)_n over k! q^k.
     """
     if not 0 <= k <= n:
         raise ValueError(
@@ -90,11 +92,7 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
             % (echo_int(n), echo_int(k), echo_int(top), len(vals))
         )
     q = lcm(*(x.denominator for x in vals[:top]))
-    n_fact = factorial(n)
-    power = [0] + [  # U^1 to degree top
-        x.numerator * (q // x.denominator) * (n_fact // factorial(m))
-        for m, x in enumerate(vals[:top], start=1)
-    ]
+    power = [0] + [x.numerator * (q // x.denominator) for x in vals[:top]]  # U^1
     terms = [(m, u) for m, u in enumerate(power) if u]
     for j in range(2, k + 1):  # U^j is needed to degree n - k + j
         size = n - k + j + 1
@@ -105,6 +103,6 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
                 for m, u in terms:
                     if i + m >= size:
                         break
-                    product[i + m] += a * u
+                    product[i + m] += comb(i + m, m) * a * u
         power = product
-    return Fraction(power[n], factorial(k) * q**k * n_fact ** (k - 1))
+    return Fraction(power[n], factorial(k) * q**k)

@@ -345,8 +345,11 @@ def test_bench_single_method_gate(capsys, argv, code):
 
 
 def test_bench_rejects_small_range(capsys):
-    # bench takes the range cross_verify takes, as verify does
-    assert run_cli(capsys, "bench", "--max-n", "0") == (64, "", "error: max_n must be >= 1, got 0\n")
+    # bench takes the range cross_verify takes, as verify does, and both
+    # name the option in the error
+    for command in ("bench", "verify"):
+        expected = (64, "", "error: --max-n must be >= 1, got 0\n")
+        assert run_cli(capsys, command, "--max-n", "0") == expected
     assert run_cli(capsys, "bench", "--max-n", "1", "--format", "csv")[0] == 0
 
 
@@ -659,6 +662,25 @@ def test_interrupted_stirling_stream_exits_130_with_one_line(capsys, monkeypatch
     # the rows already written stay written
     rows = "0 0 1\n1 0 0\n1 1 1\n"
     assert run_cli(capsys, "stirling", "--max-n", "5") == (130, rows, "error: interrupted\n")
+
+
+def exhaust(*args, **kwargs):
+    raise MemoryError
+
+
+def test_out_of_memory_exits_71_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(bernstir.cli, "cross_verify", exhaust)
+    assert run_cli(capsys, "verify", "--max-n", "10") == (71, "", "error: out of memory\n")
+
+
+def test_out_of_memory_in_stirling_stream_exits_71_with_one_line(capsys, monkeypatch):
+    def two_rows(max_n):
+        yield from itertools.islice(stirling_rows(max_n), 2)
+        raise MemoryError
+
+    monkeypatch.setattr(bernstir.cli, "stirling_rows", two_rows)
+    rows = "0 0 1\n1 0 0\n1 1 1\n"
+    assert run_cli(capsys, "stirling", "--max-n", "5") == (71, rows, "error: out of memory\n")
 
 
 def test_sigint_ends_a_command_with_one_line():

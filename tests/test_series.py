@@ -163,6 +163,8 @@ def egf_arguments(draw):
 @example(case=(6, 2, [Fraction(3, 7), 0, Fraction(-2), 0, Fraction(1, 9), 4]))
 @example(case=(5, 5, [Fraction(-1, 2), 7, 7]))  # x_2 and x_3 are unreachable
 @example(case=(4, 0, []))
+# x_1 = 0 leaves the lowest coefficients of every power at zero
+@example(case=(22, 6, [0, Fraction(-5, 4), 0, 3, Fraction(2, 9)] + [Fraction(-1, 7), 0] * 6))
 @given(case=egf_arguments())
 def test_bell_egf_equals_repeated_fraction_products(case):
     n, k, xs = case
