@@ -33,6 +33,8 @@ from typing import Sequence
 
 from .exact import check_cells, echo_int
 
+# The arguments x_1, x_2, ... of a Bell evaluator: ints or Fractions, read
+# through their `numerator` and `denominator` as given.
 Args = Sequence[Fraction | int]
 
 
@@ -46,6 +48,8 @@ def _check_indices(n: int, k: int) -> None:
 def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
     """The integers a_i = q * x_i for i = 1..n-k+1, and q, the lcm of the
     denominators of those x_i.  Arguments past x_{n-k+1} do not enter q.
+    Each x_i is an int or a Fraction, read through its `numerator` and
+    `denominator` as given, with no Fraction built.
     """
     _check_indices(n, k)
     m = n - k + 1
@@ -54,7 +58,7 @@ def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
             "B_{%s,%s} needs arguments x_1..x_%s, got %d"
             % (echo_int(n), echo_int(k), echo_int(m), len(xs))
         )
-    xs = [Fraction(x) for x in xs[:m]]
+    xs = xs[:m]
     q = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (q // x.denominator) for x in xs], q
 

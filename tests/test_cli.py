@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -19,7 +20,7 @@ import bernstir
 import bernstir.cli
 import bernstir.verify
 from bernstir import Method, bernoulli, cross_verify, format_rational, stirling_rows, supports
-from bernstir.cli import FORMATS, KNOWN, METHOD_NAMES, build_parser, main
+from bernstir.cli import FORMATS, KNOWN, METHOD_NAMES, UsageError, build_parser, main
 
 from oracles import report_to_dict
 
@@ -582,14 +583,69 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
-def test_parser_is_built_once_and_reused(capsys):
+def parsed(parse, argv):
+    """What `parse(argv)` ends in: the Namespace, the UsageError text, or the
+    exit code of --help with the help it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return parse(argv)
+    except UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "12", "--method", "theorem", "--format", "json"],
+        ["stirling", "--max-n", "6", "--format", "csv"],
+        ["bell", "3", "2", "--args", "-1/2,1/3", "--evaluator", "partition-sum"],
+        ["bell", "4", "2", "--args=1/2,1/3,1/4"],
+        ["verify", "--max-n", "4", "--allow-known"],
+        ["bench", "--max-n", "3", "--methods", "logan,bell", "--known", ""],
+        ["bell", "--help"],
+        ["bell", "4", "2", "--args", "1", "--bogus"],  # an unknown trailing option
+        ["bernoulli", "--method", "oracle"],  # a missing positional
+        ["bell", "4", "x2", "--args", "1"],  # a bad index
+        ["stirling", "--max-n", "3", "--format", "xml"],  # a bad --format choice
+        ["verify", "--max-n", "4", "--", "extra"],  # a stray positional after --
+    ],
+)
+def test_a_command_word_dispatches_to_its_own_parser(argv):
+    parser = build_parser()
+    with mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as full:
+        dispatched = parsed(bernstir.cli._parse_args, argv)
+    full.assert_not_called()
+    want = parsed(parser.parse_args, argv)
+    assert dispatched == want
+    if isinstance(want, argparse.Namespace):
+        assert want.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["no-such-command"], ["--format", "json", "bell"]])
+def test_an_argv_without_a_command_word_reaches_the_full_parser(argv):
+    parser = build_parser()
+    with mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as full:
+        dispatched = parsed(bernstir.cli._parse_args, argv)
+    full.assert_called_once_with(argv)
+    assert dispatched == parsed(parser.parse_args, argv)
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps alike here and in the child
     calls = [
         ["bernoulli", "4", "--method", "bogus"],
         ["bell", "4", "2", "--args", "1/2,1/3,1/4", "--format", "csv"],
         ["bernoulli", "8", "--format", "json"],
+        ["stirling", "--max-n", "4"],
+        ["verify", "--max-n", "4", "--allow-known"],
+        ["bell", "--help"],
+        [],
     ]
-    in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
     fresh = [
         subprocess.run(
             [sys.executable, "-m", "bernstir", *argv],
@@ -599,8 +655,8 @@ def test_parser_is_built_once_and_reused(capsys):
         )
         for argv in calls
     ]
-    assert in_process[0][0] == 64
-    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [code for code, _, _ in in_process] == [64, 0, 0, 0, 0, 0, 64]
+    assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
 
 
 def child_env():
