@@ -14,7 +14,6 @@ from .bell import (
     bell_zero_one,
 )
 from .bernoulli import (
-    Method,
     UnsupportedIndexError,
     bernoulli,
     bernoulli_alternating,
@@ -32,7 +31,6 @@ from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
 from .verify import VerificationReport, cross_verify, identity_suite
 
 __all__ = [
-    "Method",
     "UnsupportedIndexError",
     "VerificationReport",
     "associated_diagonals",

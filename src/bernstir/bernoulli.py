@@ -1,7 +1,8 @@
 """Bernoulli numbers by six independent published formulas plus the series
-oracle.  ``ROUTES`` is the one place that says what each method is: its
-domain, the stream it reads, how to call it, and whether it is a known
-discrepancy; ``bernoulli`` dispatches through it.  The Stirling routes and
+oracle.  ``ROUTES``, keyed by wire name in sorted order, is the one place
+that says what each method is: its domain, the stream it reads, how to call
+it, and whether it is a known discrepancy.  Every function here takes method
+names and looks them up through ``route_of``.  The Stirling routes and
 ``guo-qi`` read plain integer sequences, Stirling cells or power-sum
 numerators, which ``stirling_cells`` streams in step with n, so no caller
 holds the whole triangle or solves for a single exponent.
@@ -16,30 +17,14 @@ discrepancy instead of masking it.
 from __future__ import annotations
 
 import collections
-import enum
 import itertools
 import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import check_at_least, check_cells, echo_int
+from .exact import check_at_least, check_cells, echo_int, quote_rejected
 from .series import bernoulli_series
 from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
-
-
-class Method(enum.Enum):
-    """One entry per computation route; values are the CLI/JSON wire names,
-    declared in wire-name order so that iterating lists them sorted."""
-
-    __hash__ = object.__hash__  # members are singletons compared by identity
-
-    ALTERNATING = "alternating"
-    BELL = "bell"
-    DOUBLE_STIRLING = "double-stirling"
-    GUO_QI = "guo-qi"
-    LOGAN = "logan"
-    ORACLE = "oracle"
-    THEOREM = "theorem"
 
 
 def _row_pairs(max_n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -84,29 +69,38 @@ class Route(NamedTuple):
 
 # The adapters name each route function at call time rather than holding it,
 # so a wrapper installed on the module attribute sees dispatched calls too.
-ROUTES: dict[Method, Route] = {
-    Method.ALTERNATING: Route(
+ROUTES: dict[str, Route] = {
+    "alternating": Route(
         2, True, None, lambda n, c: bernoulli_alternating(n // 2), known_discrepancy=True
     ),
-    Method.BELL: Route(1, False, associated_diagonals, lambda n, c: bernoulli_bell(n, c)),
-    Method.DOUBLE_STIRLING: Route(
+    "bell": Route(1, False, associated_diagonals, lambda n, c: bernoulli_bell(n, c)),
+    "double-stirling": Route(
         2, True, _row_pairs, lambda n, c: bernoulli_double_stirling(n // 2, c)
     ),
-    Method.GUO_QI: Route(2, True, _power_sums, lambda n, c: bernoulli_guo_qi(n // 2, c)),
-    Method.LOGAN: Route(1, False, _row_pairs, lambda n, c: bernoulli_logan(n, c[0])),
-    Method.ORACLE: Route(0, False, None, lambda n, c: bernoulli_oracle(n)),
-    Method.THEOREM: Route(0, False, stirling_diagonals, lambda n, c: bernoulli_theorem(n, c)),
+    "guo-qi": Route(2, True, _power_sums, lambda n, c: bernoulli_guo_qi(n // 2, c)),
+    "logan": Route(1, False, _row_pairs, lambda n, c: bernoulli_logan(n, c[0])),
+    "oracle": Route(0, False, None, lambda n, c: bernoulli_oracle(n)),
+    "theorem": Route(0, False, stirling_diagonals, lambda n, c: bernoulli_theorem(n, c)),
 }
 
 
-def supports(method: Method, n: int) -> bool:
+def route_of(method: str) -> Route:
+    """The route named `method`; the one unknown-method ValueError otherwise."""
+    try:
+        return ROUTES[method]
+    except KeyError:
+        message = "unknown method %s; choose from: %s"
+        raise ValueError(message % (quote_rejected(method), ", ".join(ROUTES))) from None
+
+
+def supports(method: str, n: int) -> bool:
     """Whether `method` defines B_n at index n."""
-    route = ROUTES[method]
+    route = route_of(method)
     return n >= route.first and not (route.even_only and n % 2)
 
 
-def supported_methods(n: int) -> list[Method]:
-    return [m for m in Method if supports(m, n)]
+def supported_methods(n: int) -> list[str]:
+    return [m for m in ROUTES if supports(m, n)]
 
 
 class UnsupportedIndexError(ValueError):
@@ -116,15 +110,15 @@ class UnsupportedIndexError(ValueError):
     computing 0 there.
     """
 
-    def __init__(self, n: int, method: Method):
+    def __init__(self, n: int, method: str):
         self.n = n
         self.method = method
         route = ROUTES[method]
         domain = "even n >= 2" if route.even_only else "n >= %d" % route.first
-        names = ", ".join(m.value for m in supported_methods(n))
+        names = ", ".join(supported_methods(n))
         super().__init__(
             "method '%s' is defined for %s only; methods defined at n=%s: %s"
-            % (method.value, domain, echo_int(n), names)
+            % (method, domain, echo_int(n), names)
         )
 
 
@@ -289,39 +283,37 @@ def bernoulli_alternating(k: int) -> Fraction:
     return prefactor * alternating_double_sum(k)
 
 
-def stirling_cells(max_n: int, methods: Iterable[Method]) -> Iterator[dict]:
+def stirling_cells(max_n: int, methods: Iterable[str]) -> Iterator[dict]:
     """Yield, for n = 0..max_n in order, the items that `methods` read at n,
     keyed by their routes' `reads`: one stream `reads(max_n)` per distinct
     generator, advanced one step per n, so routes that read the same cells
     share one stream.  The items are Stirling cells, or the power-sum
     numerators that `guo-qi` reads."""
     check_at_least("max_n", max_n, 0)
-    generators = {ROUTES[m].reads for m in methods} - {None}
+    generators = {route_of(m).reads for m in methods} - {None}
     streams = {reads: reads(max_n) for reads in generators}
     for _ in range(max_n + 1):
         yield {reads: next(stream) for reads, stream in streams.items()}
 
 
-def cells_at(n: int, methods: Iterable[Method]) -> dict:
+def cells_at(n: int, methods: Iterable[str]) -> dict:
     """The last item of `stirling_cells(n, methods)`."""
     check_at_least("n", n, 0)
     return collections.deque(stirling_cells(n, methods), maxlen=1).pop()
 
 
-def bernoulli(n: int, method: Method | str, cells: dict | None = None) -> Fraction:
-    """Compute B_n by the chosen method.
+def bernoulli(n: int, method: str, cells: dict | None = None) -> Fraction:
+    """Compute B_n by the method named `method`.
 
     Raises UnsupportedIndexError when the method does not define B_n; the
     message lists the methods that do.  `cells` is the item of
     `stirling_cells` at n for a set of methods that includes this one; when
     omitted, the call streams the cells its own route reads.
     """
-    if not isinstance(method, Method):
-        method = Method(method)
+    route = route_of(method)
     check_at_least("n", n, 0)
     if not supports(method, n):
         raise UnsupportedIndexError(n, method)
-    route = ROUTES[method]
     if route.reads is None:
         return route.compute(n, None)
     if cells is None:

@@ -6,15 +6,16 @@ Commands: bernoulli, stirling, bell, verify, bench.  Every command accepts
 argument argparse rejects, an index past the cap, an unknown method name, or
 a ValueError the library raises on the given arguments (such as `bell 2 4`
 or `verify --max-n 0`); each prints one line, `error: <message>`, on stderr.
-An argument below its fixed lower bound reads `<name> must be >= <low>, got
-<value>`.  An index argument (`bernoulli N`, `bell N K`, `--max-n`) is
-ASCII digits with an optional sign; argparse rejects any other token, `1_0`
-and non-ASCII digits included.  A message that quotes a rejected token or
-echoes an integer shows at most its first 40 characters.  A command
-interrupted by Ctrl-C (SIGINT), while it computes or while it writes,
-prints `error: interrupted` on stderr and exits 130.  A command that runs
-out of memory, while it computes or while it writes, prints `error: out of
-memory` on stderr and exits 71.
+A method is its wire name, a key of `bernoulli.ROUTES`, and an unknown one
+reads as the library's message with ` or all` added.  An argument below its
+fixed lower bound reads `<name> must be >= <low>, got <value>`.  An index
+argument (`bernoulli N`, `bell N K`, `--max-n`) is ASCII digits with an
+optional sign; argparse rejects any other token, `1_0` and non-ASCII digits
+included.  A message that quotes a rejected token or echoes an integer shows
+at most its first 40 characters.  A command interrupted by Ctrl-C (SIGINT),
+while it computes or while it writes, prints `error: interrupted` on stderr
+and exits 130.  A command that runs out of memory, while it computes or
+while it writes, prints `error: out of memory` on stderr and exits 71.
 
 `verify` and `bench` run one cross-check handler over `cross_verify`:
 verify renders each entry's agreement with the oracle, bench the time its
@@ -63,7 +64,7 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from .bell import bell_partition_sum, bell_recurrence
-from .bernoulli import ROUTES, Method, bernoulli, cells_at, supported_methods
+from .bernoulli import ROUTES, bernoulli, cells_at, route_of, supported_methods
 from .exact import (
     RECORDS,
     check_at_least,
@@ -84,9 +85,9 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it killed
 
 DEFAULT_CAP = 10000
 FORMATS = ("plain", "json", "csv")
-METHOD_NAMES = tuple(m.value for m in Method)
+METHOD_NAMES = tuple(ROUTES)
 INDEX = re.compile(r"[+-]?[0-9]+")
-KNOWN = tuple(m.value for m in Method if ROUTES[m].known_discrepancy)
+KNOWN = tuple(m for m, route in ROUTES.items() if route.known_discrepancy)
 
 # What a command hands to main(): its output in chunks, and its exit code.
 Output = tuple[Iterable[str], int]
@@ -140,17 +141,16 @@ def _index(text: str) -> int:
     raise argparse.ArgumentTypeError("invalid int value: " + quote_rejected(text))
 
 
-def _parse_method(name: str) -> Method:
+def _parse_method(name: str) -> str:
+    """`name` when it names a method; else the library's message plus ` or all`."""
     try:
-        return Method(name)
-    except ValueError:
-        raise UsageError(
-            "unknown method %s; choose from: %s or all"
-            % (quote_rejected(name), ", ".join(METHOD_NAMES))
-        ) from None
+        route_of(name)
+    except ValueError as exc:
+        raise UsageError("%s or all" % exc) from None
+    return name
 
 
-def _method_list(text: str) -> list[Method]:
+def _method_list(text: str) -> list[str]:
     """The argparse type of bench's --methods and --known: comma-separated
     method names, where `all` names every method and empty names are
     skipped."""
@@ -158,7 +158,7 @@ def _method_list(text: str) -> list[Method]:
     for name in text.split(","):
         name = name.strip()
         if name == "all":
-            methods.extend(Method)
+            methods.extend(ROUTES)
         elif name:
             methods.append(_parse_method(name))
     return methods
@@ -171,10 +171,10 @@ def cmd_bernoulli(args: argparse.Namespace) -> Output:
         defined = supported_methods(n)
         cells = cells_at(n, defined)
         values = {m: format_rational(bernoulli(n, m, cells=cells)) for m in defined}
-        kind, rows = "bernoulli", [(n, m.value, values.get(m, "unsupported")) for m in Method]
+        kind, rows = "bernoulli", [(n, m, values.get(m, "unsupported")) for m in ROUTES]
     else:
         method = _parse_method(args.method)
-        kind, rows = "method", [(n, method.value, format_rational(bernoulli(n, method)))]
+        kind, rows = "method", [(n, method, format_rational(bernoulli(n, method)))]
     return (render(kind, args.format, rows),), EXIT_OK
 
 
@@ -220,7 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     entry's agreement, bench the time its method took."""
     check_at_least("--max-n", args.max_n, 1)
     _check_cap(args.max_n, "max-n")
-    report = cross_verify(args.max_n, args.known, args.methods or tuple(Method))
+    report = cross_verify(args.max_n, args.known, args.methods or METHOD_NAMES)
     code = EXIT_OK if report.ok else EXIT_MISMATCH
     if args.command == "bench":
         rows = [
@@ -276,7 +276,7 @@ def build_parser() -> _Parser:
                    dest="known",
                    help="do not fail on the documented '%s' discrepancy" % "', '".join(KNOWN))
     add_format(p)
-    p.set_defaults(func=cmd_verify, methods=tuple(Method))
+    p.set_defaults(func=cmd_verify, methods=METHOD_NAMES)
 
     p = sub.add_parser("bench", help="time every method per index against the oracle")
     p.add_argument("--max-n", type=_index, required=True, dest="max_n")

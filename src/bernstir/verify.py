@@ -2,7 +2,8 @@
 
 ``cross_verify`` runs every applicable Bernoulli method over an index range
 and compares each value against the series oracle by exact rational
-equality.  ``identity_suite`` exercises the Bell-polynomial identities
+equality; it takes methods by wire name and refuses an unknown one.
+``identity_suite`` exercises the Bell-polynomial identities
 (closed forms, rescaling, EGF coefficient extraction, which gives S(n, k)
 at the all-ones arguments) against the partition-sum evaluator on
 canonical and seeded random arguments, and the 2-associated Stirling
@@ -33,7 +34,7 @@ from .bell import (
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from .bernoulli import Method, bernoulli, stirling_cells, supports
+from .bernoulli import ROUTES, bernoulli, route_of, stirling_cells, supports
 from .exact import check_at_least, format_rational, render
 from .series import bell_egf_coeff, bernoulli_series
 from .stirling import associated_diagonals, stirling_diagonals
@@ -152,10 +153,11 @@ def _judge(
 def cross_verify(
     max_n: int,
     known_discrepancies: Iterable[str] = (),
-    methods: Collection[Method] = tuple(Method),
+    methods: Collection[str] = tuple(ROUTES),
 ) -> VerificationReport:
-    """Compute B_n for n = 0..max_n by each of `methods` defined at n and
-    compare each value exactly against the series oracle.
+    """Compute B_n for n = 0..max_n by each of the named `methods` defined
+    at n and compare each value exactly against the series oracle.  An
+    unknown name in either list raises ValueError.
 
     The oracle series is built once, and the Stirling cells the methods read
     are streamed in step with n and shared; the report's `elapsed_ns` holds
@@ -167,8 +169,10 @@ def cross_verify(
     n <= max_n raises ValueError, as it would check nothing.
     """
     check_at_least("max_n", max_n, 1)
-    known = {Method(name).value for name in known_discrepancies}
-    chosen = [m for m in Method if m in methods]
+    known = tuple(known_discrepancies)
+    for name in (*known, *methods):
+        route_of(name)
+    chosen = [m for m in ROUTES if m in methods]
     if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
         raise ValueError("no chosen method is defined at any n <= %d" % max_n)
     elapsed: dict[tuple[int, str], int] = {}
@@ -176,7 +180,7 @@ def cross_verify(
     return report._replace(elapsed_ns=tuple(elapsed[e[:2]] for e in report.entries))
 
 
-def _route_rows(max_n: int, chosen: list[Method], elapsed: dict) -> Iterator[ReportEntry]:
+def _route_rows(max_n: int, chosen: list[str], elapsed: dict) -> Iterator[ReportEntry]:
     # one row per (n, method), and into `elapsed` the time of its call alone
     oracle = bernoulli_series(max_n)
     for n, cells in enumerate(stirling_cells(max_n, chosen)):
@@ -185,12 +189,12 @@ def _route_rows(max_n: int, chosen: list[Method], elapsed: dict) -> Iterator[Rep
             if not supports(method, n):
                 continue
             start = time.perf_counter_ns()
-            if method is Method.ORACLE:
+            if method == "oracle":
                 value = expected
             else:
                 value = bernoulli(n, method, cells=cells)
-            elapsed[n, method.value] = time.perf_counter_ns() - start
-            yield ReportEntry(n, method.value, value, value == expected)
+            elapsed[n, method] = time.perf_counter_ns() - start
+            yield ReportEntry(n, method, value, value == expected)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:

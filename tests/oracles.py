@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from bernstir.bernoulli import ROUTES, Method, cells_at
+from bernstir.bernoulli import ROUTES, cells_at
 from bernstir.exact import format_rational
 
 Block = tuple[int, ...]
@@ -87,9 +87,9 @@ def bell_by_set_partitions(n: int, k: int, xs: Sequence[Fraction | int]) -> Frac
 def power_sum_coeffs(p: int) -> tuple[Fraction, ...]:
     """The coefficients A_0..A_{p+1} of the polynomial identity
     sum_{m=1}^{n} m^p = sum_{m=0}^{p+1} A_m n^m, as reduced Fractions:
-    item p+1 of the library's stream `ROUTES[Method.GUO_QI].reads` over
+    item p+1 of the library's stream `ROUTES["guo-qi"].reads` over
     (p+1)!."""
-    return power_sum_fractions(cells_at(p + 1, [Method.GUO_QI])[ROUTES[Method.GUO_QI].reads])
+    return power_sum_fractions(cells_at(p + 1, ["guo-qi"])[ROUTES["guo-qi"].reads])
 
 
 def power_sum_fractions(numerators: Sequence[int]) -> tuple[Fraction, ...]:

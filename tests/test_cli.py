@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import bernstir
 import bernstir.cli
 import bernstir.verify
-from bernstir import Method, bernoulli, cross_verify, format_rational, stirling_rows, supports
+from bernstir import bernoulli, cross_verify, format_rational, stirling_rows, supports
+from bernstir.bernoulli import ROUTES
 from bernstir.cli import FORMATS, KNOWN, METHOD_NAMES, UsageError, build_parser, main
 
 from oracles import report_to_dict
@@ -164,6 +165,20 @@ def test_bell_accepts_long_numerals(capsys):
     assert len(err) < 80
 
 
+def test_routes_is_the_one_method_registry(capsys, monkeypatch):
+    # ROUTES is keyed by the sorted wire names, and the CLI lists them in its order
+    names = ("alternating", "bell", "double-stirling", "guo-qi", "logan", "oracle", "theorem")
+    assert tuple(ROUTES) == METHOD_NAMES == names == tuple(sorted(names))
+    _, out, _ = run_cli(capsys, "bernoulli", "4", "--method", "all")
+    assert [line.split()[0] for line in out.splitlines()] == list(names)
+    monkeypatch.setenv("COLUMNS", "300")  # no line break inside the list
+    code, out, _ = run_cli(capsys, "bernoulli", "--help")
+    assert code == 0
+    assert "one of %s, or all" % ", ".join(names) in out
+    assert KNOWN == ("alternating",)
+    assert [m for m, route in ROUTES.items() if route.known_discrepancy] == ["alternating"]
+
+
 def b_value(n, method):
     return format_rational(bernoulli(n, method)) if supports(method, n) else "unsupported"
 
@@ -171,7 +186,7 @@ def b_value(n, method):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("n", [0, 1, 3, 6, 8, 31])
 def test_bernoulli_all_equals_the_reference(capsys, fmt, n):
-    rows = [(n, m.value, b_value(n, m)) for m in Method]
+    rows = [(n, m, b_value(n, m)) for m in METHOD_NAMES]
     plain = "".join("%s %s\n" % row[1:] for row in rows)
     want = reference(fmt, ("n", "method", "value"), rows, plain)
     assert run_cli(capsys, "bernoulli", str(n), "--format", fmt) == (0, want, "")
@@ -180,7 +195,7 @@ def test_bernoulli_all_equals_the_reference(capsys, fmt, n):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("n, method", [(0, "oracle"), (1, "bell"), (12, "theorem"), (30, "guo-qi")])
 def test_bernoulli_one_method_equals_the_reference(capsys, fmt, n, method):
-    value = b_value(n, Method(method))
+    value = b_value(n, method)
     want = reference(fmt, ("n", "method", "value"), [(n, method, value)], value + "\n")
     assert run_cli(capsys, "bernoulli", str(n), "--method", method, "--format", fmt) == (0, want, "")
 
@@ -207,7 +222,7 @@ def test_bell_equals_the_reference(capsys, fmt, n, k, args, value):
     ids=["all", "no-records", "mismatch"],
 )
 def test_bench_equals_the_reference(capsys, monkeypatch, fmt, max_n, methods, known):
-    chosen = [Method(m) for m in methods.split(",")] if methods else tuple(Method)
+    chosen = methods.split(",") if methods else METHOD_NAMES
     argv = ("bench", "--max-n", str(max_n), "--methods", methods, "--known", known)
     if not any(supports(m, n) for m in chosen for n in range(max_n + 1)):
         # a run with no record checks nothing: a usage error, not an empty report
@@ -526,7 +541,12 @@ def test_a_long_rejected_cap_is_quoted_short(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [("bernoulli", "2", "--method"), ("bench", "--max-n", "2", "--methods")]
+    "argv",
+    [
+        ("bernoulli", "2", "--method"),
+        ("bench", "--max-n", "2", "--methods"),
+        ("bench", "--max-n", "2", "--known"),
+    ],
 )
 def test_a_long_rejected_method_name_is_quoted_short(capsys, argv):
     message = "error: unknown method '%s'...; choose from: %s or all\n" % (

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import bernstir
 from bernstir.bernoulli import (
     ROUTES,
-    Method,
     alternating_double_sum,
     bernoulli,
     bernoulli_alternating,
@@ -22,6 +21,7 @@ from bernstir.bernoulli import (
     bernoulli_theorem,
     cells_at,
     stirling_cells,
+    supports,
 )
 from bernstir.cli import main
 from bernstir.exact import echo_int, format_rational, parse_rational
@@ -104,6 +104,25 @@ def test_parse_error_echoes_bounded_input():
     assert len(str(info.value)) < 70
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda name: bernoulli(3, name),
+        lambda name: supports(name, 3),
+        lambda name: cells_at(3, ["theorem", name]),
+        lambda name: cross_verify(3, methods=("theorem", name)),
+        lambda name: cross_verify(3, known_discrepancies=[name]),
+    ],
+    ids=["bernoulli", "supports", "cells_at", "cross_verify-methods", "cross_verify-known"],
+)
+def test_unknown_method_error_echoes_bounded_name(call):
+    with pytest.raises(ValueError) as info:
+        call("y" * 5000)
+    message = str(info.value)
+    assert message == "unknown method '%s'...; choose from: %s" % ("y" * 40, ", ".join(ROUTES))
+    assert len(message) < 200
+
+
 def test_echo_int_keeps_the_first_40_characters():
     assert echo_int(10**39) == "1" + "0" * 39
     assert echo_int(-(10**38)) == "-1" + "0" * 38
@@ -117,14 +136,14 @@ LOWER_BOUNDS = [
     (bernoulli_theorem, (-1, ()), "n must be >= 0, got -1"),
     (bernoulli_bell, (0, ()), "n must be >= 1, got 0"),
     (bernoulli_logan, (0, ()), "n must be >= 1, got 0"),
-    (ROUTES[Method.GUO_QI].reads, (-1,), "max_n must be >= 0, got -1"),
+    (ROUTES["guo-qi"].reads, (-1,), "max_n must be >= 0, got -1"),
     (bernoulli_guo_qi, (0, ()), "k must be >= 1, got 0"),
     (bernoulli_double_stirling, (0, ((), ())), "k must be >= 1, got 0"),
     (alternating_double_sum, (0,), "k must be >= 1, got 0"),
     (bernoulli_alternating, (0,), "k must be >= 1, got 0"),
-    (stirling_cells, (-1, tuple(Method)), "max_n must be >= 0, got -1"),
-    (cells_at, (-1, tuple(Method)), "n must be >= 0, got -1"),
-    (bernoulli, (-1, Method.THEOREM), "n must be >= 0, got -1"),
+    (stirling_cells, (-1, tuple(ROUTES)), "max_n must be >= 0, got -1"),
+    (cells_at, (-1, tuple(ROUTES)), "n must be >= 0, got -1"),
+    (bernoulli, (-1, "theorem"), "n must be >= 0, got -1"),
     (stirling_rows, (-1,), "max_n must be >= 0, got -1"),
     (stirling_diagonals, (-1,), "max_d must be >= 0, got -1"),
     (associated_diagonals, (-1,), "max_d must be >= 0, got -1"),

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from bernstir.bell import bell_scaling_identity_lhs_rhs
-from bernstir.bernoulli import Method, supported_methods
+from bernstir.bernoulli import supported_methods
 from bernstir.verify import ReportEntry, VerificationReport, cross_verify, identity_suite
 
 from oracles import report_to_dict
@@ -67,13 +67,26 @@ def test_valued_entries_partition_into_agree_and_mismatch():
 def test_cross_verify_validates_input():
     with pytest.raises(ValueError):
         cross_verify(0)
-    with pytest.raises(ValueError):
+    # an unknown name in either list, never dropped in silence
+    unknown = (
+        "^unknown method 'bogus'; choose from: "
+        "alternating, bell, double-stirling, guo-qi, logan, oracle, theorem$"
+    )
+    with pytest.raises(ValueError, match=unknown):
         cross_verify(4, known_discrepancies=("bogus",))
+    with pytest.raises(ValueError, match=unknown):
+        cross_verify(4, methods=("theorem", "bogus"))
     # no chosen method is defined at any index: nothing would be checked
     with pytest.raises(ValueError, match="no chosen method is defined at any n <= 1"):
-        cross_verify(1, methods=(Method.GUO_QI, Method.DOUBLE_STIRLING, Method.ALTERNATING))
+        cross_verify(1, methods=("guo-qi", "double-stirling", "alternating"))
     with pytest.raises(ValueError, match="no chosen method is defined at any n <= 5"):
         cross_verify(5, methods=())
+
+
+def test_cross_verify_takes_wire_names():
+    report = cross_verify(10, methods=("theorem",))
+    assert [(e.n, e.method) for e in report.entries] == [(n, "theorem") for n in range(11)]
+    assert report.ok
 
 
 def test_identity_suite_all_pass():
@@ -219,7 +232,7 @@ def test_to_json_equals_json_dumps(known):
 
 
 def test_to_json_equals_json_dumps_with_mismatches():
-    report = cross_verify(8, methods=(Method.ALTERNATING, Method.ORACLE, Method.GUO_QI))
+    report = cross_verify(8, methods=("alternating", "oracle", "guo-qi"))
     assert report.mismatches == tuple((n, "alternating") for n in (2, 4, 6, 8))
     assert report.to_json() == dumped(report)
 
@@ -231,7 +244,7 @@ def test_cross_verify_separates_known_discrepancies_from_mismatches(monkeypatch)
 
     def logan_wrong_at_3(n, method, cells=None):
         value = real(n, method, cells=cells)
-        return value + 1 if (n, method) == (3, Method.LOGAN) else value
+        return value + 1 if (n, method) == (3, "logan") else value
 
     monkeypatch.setattr(verify, "bernoulli", logan_wrong_at_3)
     report = cross_verify(4, ("alternating",))
@@ -242,7 +255,7 @@ def test_cross_verify_separates_known_discrepancies_from_mismatches(monkeypatch)
 
 
 def test_to_json_equals_json_dumps_with_empty_lists():
-    report = cross_verify(5, methods=(Method.THEOREM,))
+    report = cross_verify(5, methods=("theorem",))
     assert report.mismatches == report.known_discrepancies == ()
     assert report.to_json() == dumped(report)
     empty = VerificationReport(
