@@ -21,7 +21,6 @@ from .bernoulli import (
     bernoulli_double_stirling,
     bernoulli_guo_qi,
     bernoulli_logan,
-    bernoulli_oracle,
     bernoulli_theorem,
     supports,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "bernoulli_double_stirling",
     "bernoulli_guo_qi",
     "bernoulli_logan",
-    "bernoulli_oracle",
     "bernoulli_series",
     "bernoulli_theorem",
     "cross_verify",

@@ -186,16 +186,13 @@ def bell_scaling_identity_lhs_rhs(
     partition-sum evaluator; for a correct build they are always equal.
     """
     _check_indices(n, k)
-    vals = tuple(Fraction(x) for x in xs)
-    if len(vals) < n:
+    if len(xs) < n:
         raise ValueError(
             "scaling identity at (%s, %s) needs x_2..x_%s, got %d arguments"
-            % (echo_int(n), echo_int(k), echo_int(n + 1), len(vals))
+            % (echo_int(n), echo_int(k), echo_int(n + 1), len(xs))
         )
-    lhs = bell_partition_sum(
-        n, k, [vals[i] / (i + 2) for i in range(n - k + 1)]
-    )
+    lhs = bell_partition_sum(n, k, [Fraction(xs[i], i + 2) for i in range(n - k + 1)])
     rhs = Fraction(math.factorial(n), math.factorial(n + k)) * bell_partition_sum(
-        n + k, k, (Fraction(0),) + vals[:n]
+        n + k, k, [0, *xs[:n]]
     )
     return lhs, rhs

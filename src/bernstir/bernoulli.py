@@ -2,10 +2,11 @@
 oracle.  ``ROUTES``, keyed by wire name in sorted order, is the one place
 that says what each method is: its domain, the stream it reads, how to call
 it, and whether it is a known discrepancy.  Every function here takes method
-names and looks them up through ``route_of``.  The Stirling routes and
-``guo-qi`` read plain integer sequences, Stirling cells or power-sum
-numerators, which ``stirling_cells`` streams in step with n, so no caller
-holds the whole triangle or solves for a single exponent.
+names and looks them up through ``route_of``.  Every route but
+``alternating`` reads a stream that ``stirling_cells`` advances in step
+with n: Stirling cells or power-sum numerators as plain integer sequences,
+or the oracle's B_n, so no caller holds the whole triangle or solves for a
+single exponent.
 
 All methods agree exactly with the oracle, with one deliberate exception:
 the "alternating" double-sum formula is implemented verbatim from its
@@ -55,10 +56,18 @@ def _power_sums(max_n: int) -> Iterator[tuple[int, ...]]:
         yield coeffs
 
 
+def _oracle_values(max_n: int) -> Iterator[Fraction]:
+    """B_0..B_max_n by the series long division.  Not a generator: max_n is
+    checked and the series built when the stream is created, through the
+    module global, so a wrapper installed on `bernoulli_series` sees it."""
+    check_at_least("max_n", max_n, 0)
+    return iter(bernoulli_series(max_n))
+
+
 class Route(NamedTuple):
     """One method: B_n is defined for n >= `first` (even n only when
     `even_only`), reads item n of the stream `reads(max_n)` (None: it reads
-    no stream), and is `compute(n, cells)` on that item."""
+    no stream), and is `compute(n, cells)` on that item (the oracle's is B_n)."""
 
     first: int
     even_only: bool
@@ -79,7 +88,7 @@ ROUTES: dict[str, Route] = {
     ),
     "guo-qi": Route(2, True, _power_sums, lambda n, c: bernoulli_guo_qi(n // 2, c)),
     "logan": Route(1, False, _row_pairs, lambda n, c: bernoulli_logan(n, c[0])),
-    "oracle": Route(0, False, None, lambda n, c: bernoulli_oracle(n)),
+    "oracle": Route(0, False, _oracle_values, lambda n, c: c),
     "theorem": Route(0, False, stirling_diagonals, lambda n, c: bernoulli_theorem(n, c)),
 }
 
@@ -120,12 +129,6 @@ class UnsupportedIndexError(ValueError):
             "method '%s' is defined for %s only; methods defined at n=%s: %s"
             % (method, domain, echo_int(n), names)
         )
-
-
-def bernoulli_oracle(n: int) -> Fraction:
-    """B_n from the exact series long division (the reference path)."""
-    check_at_least("n", n, 0)
-    return bernoulli_series(n)[n]
 
 
 def bernoulli_theorem(n: int, diagonal: Sequence[int]) -> Fraction:
@@ -287,8 +290,8 @@ def stirling_cells(max_n: int, methods: Iterable[str]) -> Iterator[dict]:
     """Yield, for n = 0..max_n in order, the items that `methods` read at n,
     keyed by their routes' `reads`: one stream `reads(max_n)` per distinct
     generator, advanced one step per n, so routes that read the same cells
-    share one stream.  The items are Stirling cells, or the power-sum
-    numerators that `guo-qi` reads."""
+    share one stream.  The items are Stirling cells, the power-sum
+    numerators that `guo-qi` reads, or the oracle's B_n."""
     check_at_least("max_n", max_n, 0)
     generators = {route_of(m).reads for m in methods} - {None}
     streams = {reads: reads(max_n) for reads in generators}

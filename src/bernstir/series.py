@@ -70,7 +70,7 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
     equals B_{n,k}(x_1, ..., x_{n-k+1}).
 
     Arguments beyond x_{n-k+1} cannot reach the t^n coefficient, so they may
-    be omitted or set to anything.
+    be omitted or set to anything.  Ints and Fractions are read as given.
 
     With q the lcm of the denominators of x_1..x_{n-k+1}, the series is
     U(t)/q with U = sum_m a_m t^m/m!, a_m = q x_m.  On t^m/m! coefficients
@@ -82,17 +82,16 @@ def bell_egf_coeff(n: int, k: int, xs: Sequence[Fraction | int]) -> Fraction:
         raise ValueError(
             "needs 0 <= k <= n, got (%s, %s)" % (echo_int(n), echo_int(k))
         )
-    vals = [Fraction(x) for x in xs]
     top = n - k + 1  # x_1..x_top reach t^n
     if k == 0:
         return Fraction(int(n == 0))
-    if len(vals) < top:
+    if len(xs) < top:
         raise ValueError(
             "coefficient t^%s of a k=%s power needs x_1..x_%s, got %d"
-            % (echo_int(n), echo_int(k), echo_int(top), len(vals))
+            % (echo_int(n), echo_int(k), echo_int(top), len(xs))
         )
-    q = lcm(*(x.denominator for x in vals[:top]))
-    power = [0] + [x.numerator * (q // x.denominator) for x in vals[:top]]  # U^1
+    q = lcm(*(x.denominator for x in xs[:top]))
+    power = [0] + [x.numerator * (q // x.denominator) for x in xs[:top]]  # U^1
     terms = [(m, u) for m, u in enumerate(power) if u]
     for j in range(2, k + 1):  # U^j is needed to degree n - k + j
         size = n - k + j + 1

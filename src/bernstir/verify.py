@@ -2,7 +2,8 @@
 
 ``cross_verify`` runs every applicable Bernoulli method over an index range
 and compares each value against the series oracle by exact rational
-equality; it takes methods by wire name and refuses an unknown one.
+equality; it reads the oracle as one more stream beside the methods'
+cells, takes methods by wire name and refuses an unknown one.
 ``identity_suite`` exercises the Bell-polynomial identities
 (closed forms, rescaling, EGF coefficient extraction, which gives S(n, k)
 at the all-ones arguments) against the partition-sum evaluator on
@@ -36,7 +37,7 @@ from .bell import (
 )
 from .bernoulli import ROUTES, bernoulli, route_of, stirling_cells, supports
 from .exact import check_at_least, format_rational, render
-from .series import bell_egf_coeff, bernoulli_series
+from .series import bell_egf_coeff
 from .stirling import associated_diagonals, stirling_diagonals
 
 IDENTITY_ASSOCIATED = "associated"
@@ -159,9 +160,10 @@ def cross_verify(
     at n and compare each value exactly against the series oracle.  An
     unknown name in either list raises ValueError.
 
-    The oracle series is built once, and the Stirling cells the methods read
-    are streamed in step with n and shared; the report's `elapsed_ns` holds
-    each entry's formula time on them, without the cost of building them.
+    The oracle's series and the cells the methods read are streamed in
+    step with n and shared, and every chosen method, the oracle included,
+    runs through `bernoulli()` on them; the report's `elapsed_ns` holds each
+    entry's formula time, without the cost of building the streams.
     Methods named in `known_discrepancies` still appear in the report, but
     their mismatches are tallied separately and do not make the run fail.
     Entries are sorted by ascending n, then method name, so output is
@@ -182,17 +184,14 @@ def cross_verify(
 
 def _route_rows(max_n: int, chosen: list[str], elapsed: dict) -> Iterator[ReportEntry]:
     # one row per (n, method), and into `elapsed` the time of its call alone
-    oracle = bernoulli_series(max_n)
-    for n, cells in enumerate(stirling_cells(max_n, chosen)):
-        expected = oracle[n]
+    oracle = ROUTES["oracle"].reads
+    for n, cells in enumerate(stirling_cells(max_n, [*chosen, "oracle"])):
+        expected = cells[oracle]
         for method in chosen:
             if not supports(method, n):
                 continue
             start = time.perf_counter_ns()
-            if method == "oracle":
-                value = expected
-            else:
-                value = bernoulli(n, method, cells=cells)
+            value = bernoulli(n, method, cells=cells)
             elapsed[n, method] = time.perf_counter_ns() - start
             yield ReportEntry(n, method, value, value == expected)
 

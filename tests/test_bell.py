@@ -181,6 +181,11 @@ def test_scaling_identity_known_values():
     assert lhs == rhs == c / 2
     lhs, rhs = bell_scaling_identity_lhs_rhs(3, 2, [1, 1, 1])
     assert lhs == rhs
+    # ints give what their Fractions give: each x_i/i on the left stays exact
+    xs = [3, -2, 0, 5, 1]
+    for k in range(1, 6):
+        as_fractions = bell_scaling_identity_lhs_rhs(5, k, [Fraction(x) for x in xs])
+        assert bell_scaling_identity_lhs_rhs(5, k, xs) == as_fractions, k
 
 
 @settings(max_examples=200)

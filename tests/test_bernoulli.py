@@ -14,7 +14,6 @@ from bernstir.bernoulli import (
     bernoulli_double_stirling,
     bernoulli_guo_qi,
     bernoulli_logan,
-    bernoulli_oracle,
     bernoulli_theorem,
     cells_at,
     stirling_cells,
@@ -163,7 +162,7 @@ def test_alternating_evaluates_verbatim():
     assert alternating_double_sum(1) == 1  # single term C(2,0)*1^1
     assert alternating_double_sum(2) == 3  # 8 - 4 - 1
     assert bernoulli_alternating(1) == Fraction(1, 3)  # disagrees with B_2 = 1/6
-    assert bernoulli_alternating(1) != bernoulli_oracle(2)
+    assert bernoulli_alternating(1) != bernoulli(2, "oracle")
 
 
 def test_alternating_double_sum_equals_verbatim_sum():
@@ -178,8 +177,8 @@ def test_alternating_equals_the_published_expression():
 
 
 def test_oracle_known_values():
-    assert bernoulli_oracle(0) == 1
-    assert bernoulli_oracle(12) == Fraction(-691, 2730)
+    assert bernoulli(0, "oracle") == 1
+    assert bernoulli(12, "oracle") == Fraction(-691, 2730)
 
 
 def test_dispatcher_values():
@@ -210,8 +209,8 @@ def test_dispatcher_rejects_unsupported_index():
     "methods, streams",
     [
         (["logan", "double-stirling"], 1),
-        (ROUTES, 4),
-        (["guo-qi", "oracle"], 1),
+        (ROUTES, 5),
+        (["guo-qi", "oracle"], 2),
     ],
 )
 def test_routes_that_read_the_same_cells_share_one_stream(methods, streams):

@@ -17,7 +17,6 @@ from bernstir.bernoulli import (
     bernoulli_double_stirling,
     bernoulli_guo_qi,
     bernoulli_logan,
-    bernoulli_oracle,
     bernoulli_theorem,
     cells_at,
     stirling_cells,
@@ -132,7 +131,7 @@ def test_echo_int_keeps_the_first_40_characters():
 
 # Every lower bound on an argument, with the call one below it.
 LOWER_BOUNDS = [
-    (bernoulli_oracle, (-1,), "n must be >= 0, got -1"),
+    (ROUTES["oracle"].reads, (-1,), "max_n must be >= 0, got -1"),
     (bernoulli_theorem, (-1, ()), "n must be >= 0, got -1"),
     (bernoulli_bell, (0, ()), "n must be >= 1, got 0"),
     (bernoulli_logan, (0, ()), "n must be >= 1, got 0"),

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from bernstir.bell import bell_scaling_identity_lhs_rhs
-from bernstir.bernoulli import supported_methods
+from bernstir.bernoulli import bernoulli, supported_methods
+from bernstir.cli import main
 from bernstir.verify import ReportEntry, VerificationReport, cross_verify, identity_suite
 
 from oracles import report_to_dict
@@ -206,6 +208,31 @@ def test_cross_verify_times_each_entry_on_the_report():
     assert len(report.elapsed_ns) == len(report.entries) == expected_entry_count(8)
     assert all(type(ns) is int and ns >= 0 for ns in report.elapsed_ns)
     assert identity_suite(4, trials=1, seed=0).elapsed_ns == ()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: cross_verify(30),
+        lambda: cross_verify(30, methods=("theorem",)),
+        lambda: main(["bernoulli", "30", "--method", "all"]),
+        lambda: bernoulli(30, "oracle"),
+    ],
+    ids=["cross_verify", "cross_verify-theorem", "cli-bernoulli-all", "bernoulli-oracle"],
+)
+def test_the_oracle_series_is_built_once_per_run(capsys, monkeypatch, run):
+    # the package's `bernoulli` attribute is the function, not the module
+    routes = importlib.import_module("bernstir.bernoulli")
+    real = routes.bernoulli_series
+    orders = []
+
+    def counting(order):
+        orders.append(order)
+        return real(order)
+
+    monkeypatch.setattr(routes, "bernoulli_series", counting)
+    run()
+    assert orders == [30]
 
 
 # a hand-built report whose identity counts are not in name order
