@@ -2,13 +2,14 @@
 
 Two independent evaluators: the defining sum over block-size profiles
 (``bell_partition_sum``, which ``identity_suite`` judges against) and a
-convolution recurrence (``bell_recurrence``, the CLI's default).  Neither
-is faster everywhere: the partition sum is severalfold faster at k >= n/2,
-the recurrence at small k and large n (README gives measured times).  On
-top of those, a closed form for the argument specialization (0, 1, ..., 1),
-and a rescaling identity evaluated on both sides.  The identity at x = 1
-carries the closed form to the arguments (1/2, 1/3, ...), so both read one
-diagonal S(d+i, i) of the Stirling triangle as a plain sequence, an item of
+recurrence (``bell_recurrence``, the CLI's default).  The recurrence is
+the faster at every (n, k) README lists, by up to 34 times, except at
+k >= n-1, where both take microseconds: from k = 4 on it costs about
+w^2/2 steps, w = n-k+1, whatever k is.  On top of those, a closed form
+for the argument specialization (0, 1, ..., 1), and a rescaling identity
+evaluated on both sides.  The identity at x = 1 carries the closed form to
+the arguments (1/2, 1/3, ...), so both read one diagonal S(d+i, i) of the
+Stirling triangle as a plain sequence, an item of
 `stirling.stirling_diagonals`, and only the first sums over it.
 
 The partition sum places block sizes from the largest down, and merges
@@ -63,6 +64,11 @@ def _scaled(n: int, k: int, xs: Args) -> tuple[list[int], int]:
     return [x.numerator * (q // x.denominator) for x in xs], q
 
 
+def _first_nonzero(a: Sequence[int]) -> int:
+    """The smallest i with a_i != 0, where a[i-1] = a_i, or len(a) + 1."""
+    return next((i for i, x in enumerate(a, 1) if x), len(a) + 1)
+
+
 def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
     """Evaluate the defining sum over block-size profiles (l_1, ..., l_m),
     m = n-k+1, with sum(i * l_i) = n and sum(l_i) = k.
@@ -83,9 +89,16 @@ def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
     such terms.  No block is larger than w - c + 1, so a state waits at
     that size, and pairs and singletons close in one step.  There are at
     most (k+1)(n-k+1) states per size, so the work grows polynomially in n.
+
+    A state is dropped unless low * c <= w <= (s-1) * c, low being the
+    smallest i with a_i != 0 (n-k+2 if there is none).  Above the upper
+    bound the c blocks still to place, each smaller than s, cannot fill w.
+    Below the lower bound one of them is smaller than low, and its factor
+    a_i is 0, so every profile in the state contributes 0.
     """
     a, q = _scaled(n, k, xs)
     top = n - k + 1
+    low = _first_nonzero(a)
     # waiting[s] maps (weight, count) to the state whose next block size is
     # s; the states at s = 1 and 2 are closed by pairs and singletons
     waiting: list[dict[tuple[int, int], int]] = [{} for _ in range(top + 1)]
@@ -97,7 +110,7 @@ def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
             room = weight - count + 1  # the largest block that still fits
             mult = 0
             while True:
-                if weight <= below * count:  # smaller blocks can close it
+                if low * count <= weight <= below * count:  # see the docstring
                     nxt = waiting[room if room < below else below]
                     key = weight, count
                     nxt[key] = nxt.get(key, 0) + state
@@ -121,15 +134,32 @@ def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
     return Fraction(total, q**k)
 
 
-def bell_recurrence(n: int, k: int, xs: Args) -> Fraction:
-    """Same value through the convolution on the block holding one marked
-    element: B_{m,j} = sum_i C(m-1, i-1) x_i B_{m-i,j-1}.
+# bell_recurrence keeps the marked-block rows up to this k.  They cost
+# about (k-2) * w^2/2 + w steps, w = n-k+1, against w^2/2 for the power
+# recurrence, whose steps are dearer.  Best of several in-process calls on
+# all-ones arguments, rows against power recurrence: (40, 3) 0.20 against
+# 0.28 ms and (400, 3) 20 against 34 ms; (40, 4) 0.24 against 0.17 ms and
+# (400, 4) 43 against 36 ms; at (1500, 4) both take about 1.6 s.
+_ROWS_UP_TO_K = 3
 
-    Runs bottom up over j on the integers a_i = q * x_i and returns
-    B_{n,k}(a) / q^k.  Row j holds B_{m,j}(a) for m = j..j+n-k, which is all
-    that row j+1 reads; the last row is the one value m = n.
+
+def bell_recurrence(n: int, k: int, xs: Args) -> Fraction:
+    """Same value by a recurrence, on the integers a_i = q * x_i; returns
+    B_{n,k}(a) / q^k.
+
+    For k <= 3 it runs the convolution on the block holding one marked
+    element, B_{m,j} = sum_i C(m-1, i-1) a_i B_{m-i,j-1}, bottom up over
+    j: row j holds B_{m,j}(a) for m = j..j+n-k, which is all that row j+1
+    reads, and the last row is the one value m = n.  That is at most two
+    rows, and row 2 costs only w = n-k+1 steps.
+
+    From k = 4 on it raises U = sum_m a_m t^m/m! to the k-th power by the
+    power recurrence U P' = k U' P (J. C. P. Miller's rule; Knuth, TAOCP
+    Vol. 2, 4.7), in about w^2/2 steps whatever k is; see `_power_coeff`.
     """
     a, q = _scaled(n, k, xs)
+    if k > _ROWS_UP_TO_K:
+        return Fraction(_power_coeff(n, k, a), math.factorial(k) * q**k)
     width = n - k + 1
     row = a  # B_{m,1}(a) = a_m
     for j in range(2, k + 1):
@@ -144,6 +174,41 @@ def bell_recurrence(n: int, k: int, xs: Args) -> Fraction:
             nxt.append(acc)
         row = nxt
     return Fraction(row[-1], q**k)
+
+
+def _power_coeff(n: int, k: int, a: Sequence[int]) -> int:
+    """p_n = k! B_{n,k}(a), the t^n/n! coefficient of P = U^k with
+    U = sum_m a_m t^m/m! and a[m-1] = a_m.
+
+    Let s be the smallest index with a_s != 0; P starts at t^(ks) with
+    p_(ks) = (ks)!/(s!)^k a_s^k, and p_n = 0 when ks > n.  With no such s,
+    s = n-k+2 makes ks > n.
+    The t^e/e! coefficient of U P' = k U' P, at e = d + s - 1, is
+
+        (C(e,s) - k C(e,s-1)) a_s p_d
+            = sum_{m=s}^{e-ks} (k C(e,m) - C(e,m+1)) a_(m+1) p_(e-m),
+
+    which gives p_d from p_(ks)..p_(d-1) for d = ks+1..n.  The factor on
+    the left is C(e,s-1) (d - ks)/s > 0 and p_d is an integer, so the
+    division is exact.
+    """
+    s = _first_nonzero(a)
+    if k * s > n:
+        return 0
+    ks, a_s = k * s, a[s - 1]
+    p = [math.factorial(ks) // math.factorial(s) ** k * a_s**k]  # p[j] = p_(ks+j)
+    for d in range(ks + 1, n + 1):
+        e = d + s - 1
+        last = e - ks
+        c = math.comb(e, s)  # C(e, m)
+        acc = 0
+        for m in range(s, last + 1):
+            c_next = c * (e - m) // (m + 1)
+            if a[m]:
+                acc += (k * c - c_next) * a[m] * p[last - m]
+            c = c_next
+        p.append(acc // (math.comb(e, s - 1) * (d - ks) // s * a_s))  # exact
+    return p[-1]
 
 
 def bell_zero_one(n: int, k: int, diagonal: Sequence[int]) -> int:

@@ -14,9 +14,12 @@ agrees with it has been checked against the defining series and not against
 itself.
 
 `bell_egf_coeff` takes powers of a series held as integer coefficients of
-t^m/m!: weight C(p, m), coefficient j! B_{p,j}.  `bell.bell_recurrence`
-adds a marked element's block: weight C(p-1, m-1), coefficient B_{p,j}.
-The two share no step; the suite judges both against the partition sum.
+t^m/m!: weight C(p, m), coefficient j! B_{p,j}, one factor U at a time.
+`bell.bell_recurrence` up to k = 3 adds a marked element's block (weight
+C(p-1, m-1), coefficient B_{p,j}); from k = 4 it gets each coefficient of
+U^k from the ones before it by U P' = k U' P, without forming a lower
+power.  The two share no step.  `identity_suite` judges `bell_egf_coeff`
+against the partition sum; only the tests judge `bell_recurrence`.
 """
 
 from __future__ import annotations

@@ -63,6 +63,48 @@ def test_recurrence_known_values():
     assert bell_recurrence(4, 2, [0, 1, 1]) == 3  # the three 2+2 pairings
 
 
+def test_recurrence_from_the_first_nonzero_argument():
+    # from k = 4 the recurrence raises U to the k-th power, and U^k starts
+    # at t^(ks), a_s being the first nonzero argument
+    ones = [1] * 9
+    assert bell_recurrence(8, 4, [0] + ones[:4]) == 105  # k*s = n: four pairs
+    assert bell_recurrence(7, 4, [0] + ones[:3]) == 0  # k*s > n
+    assert bell_recurrence(9, 4, [0] + ones[:5]) == 1260  # C(9, 3) * 15
+    assert bell_recurrence(12, 4, [0, 0] + ones) == 15400  # four triples
+    assert bell_recurrence(11, 4, [0, 0] + ones[:6]) == 0  # k*s > n
+    assert bell_recurrence(9, 5, [0] * 5) == 0  # no first nonzero argument
+    cases = [
+        (10, [0, Fraction(-1, 2), 3, 1, Fraction(5, 7), -2, 1, 4]),  # a_2 < 0
+        (13, [0, 0, Fraction(-3, 2), 1, 0, 2, Fraction(1, 3), -1, 4, 1, 2]),
+        (9, [Fraction(-2, 3), 0, 1, Fraction(7, 2), -1, 3, 2]),  # a_1 < 0
+    ]
+    for n, xs in cases:
+        for k in (3, 4):  # the marked-block rows, then the power recurrence
+            want = bell_partition_sum_fraction(n, k, xs)
+            assert bell_recurrence_fraction(n, k, xs) == want, (n, k)
+            assert bell_recurrence(n, k, xs) == want, (n, k)
+            assert bell_partition_sum(n, k, xs) == want, (n, k)
+    rng = random.Random(200)
+    xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) or 1 for _ in range(101)]
+    for args in (xs, [0, *xs[1:]], [0, 0, *xs[2:]]):  # s = 1; 2 with ks = n; 3, ks > n
+        assert bell_recurrence(200, 100, args) == bell_partition_sum(200, 100, args)
+
+
+def test_partition_sum_drops_states_below_the_first_nonzero_argument():
+    # a state whose open blocks cannot all be as large as the first nonzero
+    # argument's index is 0 and dropped; the sum must not change
+    rng = random.Random(14)
+    for n in range(1, 16):
+        for k in sorted({1, max(1, n // 3), max(1, n // 2), n}):
+            xs = [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
+                  for _ in range(n - k + 1)]
+            for zeros in ({0}, {1}, {0, 1}, {(n - k) // 2}, {1, (n - k) // 2}):
+                args = [0 if i in zeros else x for i, x in enumerate(xs)]
+                want = bell_partition_sum_fraction(n, k, args)
+                assert bell_partition_sum(n, k, args) == want, (n, k, args)
+                assert bell_recurrence(n, k, args) == want, (n, k, args)
+
+
 @settings(max_examples=200)
 @given(inst=bell_instances())
 def test_partition_sum_equals_recurrence(inst):
