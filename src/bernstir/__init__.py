@@ -7,6 +7,7 @@ comparisons in the verification layer are exact equality.
 """
 
 from .bell import (
+    bell_egf_coeff,
     bell_partition_sum,
     bell_recurrence,
     bell_reciprocal_args,
@@ -25,7 +26,7 @@ from .bernoulli import (
     supports,
 )
 from .exact import format_rational, parse_rational
-from .series import bell_egf_coeff, bernoulli_series
+from .series import bernoulli_series
 from .stirling import associated_diagonals, stirling_diagonals, stirling_rows
 from .verify import VerificationReport, cross_verify, identity_suite
 

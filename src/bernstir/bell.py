@@ -1,16 +1,23 @@
 """Partial Bell polynomials B_{n,k}(x_1, ..., x_{n-k+1}).
 
-Two independent evaluators: the defining sum over block-size profiles
+Two evaluators: the defining sum over block-size profiles
 (``bell_partition_sum``, which ``identity_suite`` judges against) and a
 recurrence (``bell_recurrence``, the CLI's default).  The recurrence is
 the faster at every (n, k) README lists, by up to 34 times, except at
 k >= n-1, where both take microseconds: from k = 4 on it costs about
-w^2/2 steps, w = n-k+1, whatever k is.  On top of those, a closed form
-for the argument specialization (0, 1, ..., 1), and a rescaling identity
-evaluated on both sides.  The identity at x = 1 carries the closed form to
-the arguments (1/2, 1/3, ...), so both read one diagonal S(d+i, i) of the
-Stirling triangle as a plain sequence, an item of
-`stirling.stirling_diagonals`, and only the first sums over it.
+w^2/2 steps, w = n-k+1, whatever k is.  On top of those, EGF coefficient
+extraction (``bell_egf_coeff``), a closed form for the argument
+specialization (0, 1, ..., 1), and a rescaling identity evaluated on both
+sides.  The identity at x = 1 carries the closed form to the arguments
+(1/2, 1/3, ...), so both read one diagonal S(d+i, i) of the Stirling
+triangle as a plain sequence, an item of `stirling.stirling_diagonals`,
+and only the first sums over it.
+
+B_{n,k} = n!/k! [t^n] U^k with U = sum_m x_m t^m/m!, and `_power_coeff`
+is the one routine that takes the coefficients of U^k: `bell_egf_coeff`
+calls it for every k >= 1 and `bell_recurrence` from k = 4 on.  So
+`identity_suite`, judging `bell_egf_coeff` against the partition sum,
+judges the recurrence's kernel too.
 
 The partition sum places block sizes from the largest down, and merges
 the profiles that leave the same open weight w and block count c into one
@@ -20,7 +27,7 @@ profile in the state counts its ways as the ways for l-1 blocks times
 C(w, s) / l.  There are at most (k+1)(n-k+1) states per size, so the sum's
 work grows polynomially in n, not with the number of profiles.
 
-Both evaluators run in integers.  B_{n,k} is homogeneous of degree k, so
+Every evaluator runs in integers.  B_{n,k} is homogeneous of degree k, so
 with q the lcm of the denominators of x_1..x_{n-k+1} and a_i = q * x_i,
 B_{n,k}(x) = B_{n,k}(a) / q^k (Comtet, Advanced Combinatorics, 1974, 3.3).
 Each evaluator sums B_{n,k}(a) exactly and divides by q^k once.
@@ -139,7 +146,8 @@ def bell_partition_sum(n: int, k: int, xs: Args) -> Fraction:
 # recurrence, whose steps are dearer.  Best of several in-process calls on
 # all-ones arguments, rows against power recurrence: (40, 3) 0.20 against
 # 0.28 ms and (400, 3) 20 against 34 ms; (40, 4) 0.24 against 0.17 ms and
-# (400, 4) 43 against 36 ms; at (1500, 4) both take about 1.6 s.
+# (400, 4) 43 against 36 ms.  At (1500, 4), six alternating calls each,
+# the rows took 1.67-2.13 s against 1.86-2.55 s: the crossover moves with n.
 _ROWS_UP_TO_K = 3
 
 
@@ -209,6 +217,29 @@ def _power_coeff(n: int, k: int, a: Sequence[int]) -> int:
             c = c_next
         p.append(acc // (math.comb(e, s - 1) * (d - ks) // s * a_s))  # exact
     return p[-1]
+
+
+def bell_egf_coeff(n: int, k: int, xs: Args) -> Fraction:
+    """n!/k! times the t^n coefficient of (sum_{m>=1} x_m t^m/m!)^k;
+    equals B_{n,k}(x_1, ..., x_{n-k+1}), and 1 or 0 at k = 0.
+
+    Arguments beyond x_{n-k+1} cannot reach the t^n coefficient, so they may
+    be omitted or set to anything.  Ints and Fractions are read as given.
+    The value is `_power_coeff` on the integers a_i = q * x_i, over k! q^k.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(
+            "needs 0 <= k <= n, got (%s, %s)" % (echo_int(n), echo_int(k))
+        )
+    if k == 0:
+        return Fraction(int(n == 0))
+    if len(xs) < n - k + 1:
+        raise ValueError(
+            "coefficient t^%s of a k=%s power needs x_1..x_%s, got %d"
+            % (echo_int(n), echo_int(k), echo_int(n - k + 1), len(xs))
+        )
+    a, q = _scaled(n, k, xs)
+    return Fraction(_power_coeff(n, k, a), math.factorial(k) * q**k)
 
 
 def bell_zero_one(n: int, k: int, diagonal: Sequence[int]) -> int:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .bell import (
+    bell_egf_coeff,
     bell_partition_sum,
     bell_reciprocal_args,
     bell_scaling_identity_lhs_rhs,
@@ -37,7 +38,6 @@ from .bell import (
 )
 from .bernoulli import ROUTES, bernoulli, route_of, stirling_cells, supports
 from .exact import check_at_least, format_rational, render
-from .series import bell_egf_coeff
 from .stirling import associated_diagonals, stirling_diagonals
 
 IDENTITY_ASSOCIATED = "associated"

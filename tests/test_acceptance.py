@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from bernstir.bell import (
+    bell_egf_coeff,
     bell_partition_sum,
     bell_reciprocal_args,
     bell_scaling_identity_lhs_rhs,
@@ -17,7 +18,7 @@ from bernstir.bell import (
 )
 from bernstir.bernoulli import ROUTES, bernoulli, bernoulli_alternating, stirling_cells, supports
 from bernstir.cli import main
-from bernstir.series import bell_egf_coeff, bernoulli_series
+from bernstir.series import bernoulli_series
 from bernstir.stirling import stirling_diagonals
 from bernstir.verify import cross_verify
 

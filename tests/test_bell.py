@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstir.bell import (
+    bell_egf_coeff,
     bell_partition_sum,
     bell_reciprocal_args,
     bell_recurrence,
     bell_scaling_identity_lhs_rhs,
     bell_zero_one,
 )
-from bernstir.series import bell_egf_coeff
 from bernstir.stirling import stirling_diagonals, stirling_rows
 
 from oracles import (
@@ -87,7 +87,9 @@ def test_recurrence_from_the_first_nonzero_argument():
     rng = random.Random(200)
     xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) or 1 for _ in range(101)]
     for args in (xs, [0, *xs[1:]], [0, 0, *xs[2:]]):  # s = 1; 2 with ks = n; 3, ks > n
-        assert bell_recurrence(200, 100, args) == bell_partition_sum(200, 100, args)
+        want = bell_partition_sum(200, 100, args)
+        assert bell_recurrence(200, 100, args) == want
+        assert bell_egf_coeff(200, 100, args) == want
 
 
 def test_partition_sum_drops_states_below_the_first_nonzero_argument():

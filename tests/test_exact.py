@@ -181,3 +181,17 @@ def test_every_public_name_has_a_library_user():
                     used.add(node.id)
     unused = set(bernstir.__all__) - used - {"identity_suite"}
     assert not unused, sorted(unused)
+
+
+def test_the_oracle_imports_nothing_from_the_package_but_exact():
+    # the oracle stays independent of the routes it judges: series.py may
+    # read exact.py's checks, and no route, table or Bell evaluator
+    path = pathlib.Path(bernstir.__file__).parent / "series.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported if name.startswith((".", "bernstir"))}
+    assert package == {".exact"}, sorted(package)

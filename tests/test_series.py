@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernstir.bell import bell_partition_sum
-from bernstir.series import bell_egf_coeff, bernoulli_series
+from bernstir.bell import bell_egf_coeff, bell_partition_sum
+from bernstir.series import bernoulli_series
 from bernstir.stirling import stirling_rows
 
 from oracles import (
@@ -165,6 +165,11 @@ def egf_arguments(draw):
 @example(case=(4, 0, []))
 # x_1 = 0 leaves the lowest coefficients of every power at zero
 @example(case=(22, 6, [0, Fraction(-5, 4), 0, 3, Fraction(2, 9)] + [Fraction(-1, 7), 0] * 6))
+# U^k starts at t^(ks), a_s the first nonzero argument: ks = n, then ks > n
+@example(case=(12, 4, [0, 0, Fraction(-3, 2), 1, 0, 2, Fraction(1, 3), -1, 4]))
+@example(case=(11, 4, [0, 0, Fraction(5, 6), -2, 1, 0, 3, Fraction(-1, 4)]))
+@example(case=(9, 5, [0, 0, 0, 0, 0, Fraction(7, 2), -1]))  # no reachable a_s
+@example(case=(7, 1, [0, 0, 0, Fraction(-2, 5), 0, 3, Fraction(1, 7)]))  # k = 1
 @given(case=egf_arguments())
 def test_bell_egf_equals_repeated_fraction_products(case):
     n, k, xs = case
