@@ -6,18 +6,20 @@ recurrence (``bell_recurrence``, the CLI's default).  The recurrence is
 the faster at every (n, k) README lists, by up to 34 times, except at
 k >= n-1, where both take microseconds: from k = 4 on it costs about
 w^2/2 steps, w = n-k+1, whatever k is.  On top of those, EGF coefficient
-extraction (``bell_egf_coeff``), a closed form for the argument
-specialization (0, 1, ..., 1), and a rescaling identity evaluated on both
-sides.  The identity at x = 1 carries the closed form to the arguments
-(1/2, 1/3, ...), so both read one diagonal S(d+i, i) of the Stirling
-triangle as a plain sequence, an item of `stirling.stirling_diagonals`,
-and only the first sums over it.
+extraction (``bell_egf_coeff``, the recurrence under the EGF identity's
+name), a closed form for the argument specialization (0, 1, ..., 1), and
+a rescaling identity evaluated on both sides.  The identity at x = 1
+carries the closed form to the arguments (1/2, 1/3, ...), so both read
+one diagonal S(d+i, i) of the Stirling triangle as a plain sequence, an
+item of `stirling.stirling_diagonals`, and only the first sums over it.
 
-B_{n,k} = n!/k! [t^n] U^k with U = sum_m x_m t^m/m!, and `_power_coeff`
-is the one routine that takes the coefficients of U^k: `bell_egf_coeff`
-calls it for every k >= 1 and `bell_recurrence` from k = 4 on.  So
+B_{n,k} = n!/k! [t^n] U^k with U = sum_m x_m t^m/m!, and both branches
+of `bell_recurrence` take that coefficient: its marked-block rows, for
+k <= 3, are the coefficient form of (U^j/j!)' = U' U^(j-1)/(j-1)!, and
+`_power_coeff`, which serves k >= 4 only, runs the power recurrence
+U P' = k U' P.  `bell_egf_coeff` returns `bell_recurrence` for k >= 1, so
 `identity_suite`, judging `bell_egf_coeff` against the partition sum,
-judges the recurrence's kernel too.
+judges whatever the recurrence runs at every k.
 
 The partition sum places block sizes from the largest down, and merges
 the profiles that leave the same open weight w and block count c into one
@@ -198,7 +200,7 @@ def _power_coeff(n: int, k: int, a: Sequence[int]) -> int:
 
     which gives p_d from p_(ks)..p_(d-1) for d = ks+1..n.  The factor on
     the left is C(e,s-1) (d - ks)/s > 0 and p_d is an integer, so the
-    division is exact.
+    division is exact.  `bell_recurrence` calls it for k >= 4 only.
     """
     s = _first_nonzero(a)
     if k * s > n:
@@ -225,21 +227,13 @@ def bell_egf_coeff(n: int, k: int, xs: Args) -> Fraction:
 
     Arguments beyond x_{n-k+1} cannot reach the t^n coefficient, so they may
     be omitted or set to anything.  Ints and Fractions are read as given.
-    The value is `_power_coeff` on the integers a_i = q * x_i, over k! q^k.
+    For k >= 1 the value, and any error, is `bell_recurrence`'s: its
+    marked-block rows up to k = 3 and `_power_coeff` from k = 4 on both
+    take [t^n] U^k, so whatever judges this function judges the recurrence.
     """
-    if not 0 <= k <= n:
-        raise ValueError(
-            "needs 0 <= k <= n, got (%s, %s)" % (echo_int(n), echo_int(k))
-        )
-    if k == 0:
+    if k == 0 <= n:
         return Fraction(int(n == 0))
-    if len(xs) < n - k + 1:
-        raise ValueError(
-            "coefficient t^%s of a k=%s power needs x_1..x_%s, got %d"
-            % (echo_int(n), echo_int(k), echo_int(n - k + 1), len(xs))
-        )
-    a, q = _scaled(n, k, xs)
-    return Fraction(_power_coeff(n, k, a), math.factorial(k) * q**k)
+    return bell_recurrence(n, k, xs)
 
 
 def bell_zero_one(n: int, k: int, diagonal: Sequence[int]) -> int:

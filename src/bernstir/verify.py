@@ -8,7 +8,9 @@ cells, takes methods by wire name and refuses an unknown one.
 (closed forms, rescaling, EGF coefficient extraction, which gives S(n, k)
 at the all-ones arguments) against the partition-sum evaluator on
 canonical and seeded random arguments, and the 2-associated Stirling
-stream that the `bell` route reads against its closed form.
+stream that the `bell` route reads against its closed form.  Its `egf`
+rows run whatever `bell_recurrence`, the `bell` command's default
+evaluator, runs at each k.
 
 Both only yield check rows, plain (n, method, value, agrees) data, and one
 judge builds every report from them; a run's formula times travel on its

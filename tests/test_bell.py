@@ -281,9 +281,9 @@ def test_long_indices_are_echoed_short_in_bell_errors():
     )
     with pytest.raises(ValueError) as err:
         bell_egf_coeff(1, big, [1])
-    assert str(err.value) == "needs 0 <= k <= n, got (1, %s)" % echoed
+    assert str(err.value) == "B_{n,k} needs n >= k >= 1, got (1, %s)" % echoed
     with pytest.raises(ValueError) as err:
         bell_egf_coeff(big, 1, [1])
     assert str(err.value) == (
-        "coefficient t^%s of a k=1 power needs x_1..x_%s, got 1" % (echoed, echoed)
+        "B_{%s,1} needs arguments x_1..x_%s, got 1" % (echoed, echoed)
     )

@@ -125,6 +125,21 @@ def test_identity_suite_flags_a_wrong_associated_cell(monkeypatch):
     assert ("associated", 21, 20) in report.identity_counts
 
 
+def test_identity_suite_judges_the_recurrence_through_egf(monkeypatch):
+    import bernstir.bell as bell
+
+    recurrence = bell.bell_recurrence
+
+    def off_by_one_at_5_2(n, k, xs):
+        value = recurrence(n, k, xs)
+        return value + 1 if (n, k) == (5, 2) else value
+
+    monkeypatch.setattr(bell, "bell_recurrence", off_by_one_at_5_2)
+    report = identity_suite(6, trials=1, seed=0)
+    assert report.mismatches == ((5, "egf"),)  # S(5, 2) through bell_egf_coeff
+    assert bell.bell_egf_coeff(5, 2, [1] * 4) == recurrence(5, 2, [1] * 4) + 1
+
+
 def test_identity_suite_reports_are_deterministic():
     a = identity_suite(6, trials=20, seed=3)
     b = identity_suite(6, trials=20, seed=3)
